@@ -101,23 +101,33 @@ def cst_search(
     The admissible term values for the next level form the set
     B_i = S  intersect  (S - t) over all subset sums t collected so far --
     membership there is exactly what keeps every new subset sum inside S,
-    so dead states can be memoized by their sum sets.
+    so dead states can be memoized by their sum sets.  B_i and the sum sets
+    are int bitmasks (bit n set when n is a member), so the update is
+    B_i & (S >> t) and one AND over the systems gives every passing a for
+    an index set at once.  The budget counts every (a, alpha) position in
+    scan order, including those that fail or are skipped.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
     if depth > DEPTH_CAP:
         raise BudgetExceededError(f"depth {depth} exceeds the {DEPTH_CAP} cap")
     horizon = _common_horizon(specs)
-    members = window.member_set
+    members = window.mask
     p = len(specs)
-    a_hi = window.horizon - min(_min_subset_sum(s) for s in specs)
+    # a runs over 1..a_hi, none when every sum already lies beyond S
+    a_hi = max(0, window.horizon - min(_min_subset_sum(s) for s in specs))
+    a_range = (1 << (a_hi + 1)) - 2
     ticks = 0
     dead: set = set()
-    cand_cache: dict[int, list] = {}
+    cand_cache: dict[int, tuple] = {}
 
-    def candidates(low: int) -> list:
-        """(index tuple, max index, per-spec sums) for every nonempty
-        subset of (low, horizon], in binary-counting order."""
+    def candidates(low: int) -> tuple:
+        """(count, distinct) over the nonempty subsets of (low, horizon] in
+        binary-counting order: count of them all, and (position, index
+        tuple, max index, per-spec sums) for the first subset of each
+        (max index, sums) pair.  A later subset with the same pair would
+        reach the same memo key for every a, so it can only be a dead
+        state once the first has been tried."""
         got = cand_cache.get(low)
         if got is not None:
             return got
@@ -130,7 +140,7 @@ def cst_search(
         sums = [[0] * count for _ in range(p)]
         sets: list = [None] * count
         sets[0] = ()
-        out = []
+        distinct = {}
         for mask in range(1, count):
             lsb = mask & -mask
             bit = lsb.bit_length() - 1
@@ -140,58 +150,78 @@ def cst_search(
             sets[mask] = (idx,) + sets[rest]
             for i in range(p):
                 sums[i][mask] = sums[i][rest] + specs[i].terms[idx - 1]
-            out.append((sets[mask], sets[mask][-1],
-                        tuple(sums[i][mask] for i in range(p))))
-        cand_cache[low] = out
-        return out
+            key = (sets[mask][-1], tuple(sums[i][mask] for i in range(p)))
+            distinct.setdefault(key, (mask - 1, sets[mask]) + key)
+        got = cand_cache[low] = (count - 1, list(distinct.values()))
+        return got
+
+    def scan(distinct, admissible):
+        """(a, candidate) for every distinct candidate whose terms a + s_i
+        all lie in B_i, in (a, position) order."""
+        passing = []
+        for cand in distinct:
+            ok = a_range
+            for b, s in zip(admissible, cand[3]):
+                ok &= b >> s if s >= 0 else b << -s
+            if ok:
+                passing.append((ok, cand))
+        union = 0
+        for ok, _ in passing:
+            union |= ok
+        while union:
+            low = union & -union
+            union ^= low
+            a = low.bit_length() - 1
+            for ok, cand in passing:
+                if ok >> a & 1:
+                    yield a, cand
+
+    def charge(positions):
+        nonlocal ticks
+        ticks += positions
+        if ticks > budget:
+            raise BudgetExceededError(
+                f"witness search exceeded {budget} candidates"
+            )
 
     def extend(level, low, sum_sets, admissible, chosen):
-        nonlocal ticks
-        if any(not b for b in admissible):
+        if not all(admissible):
             return None
-        cands = candidates(low)
-        for a in range(1, a_hi + 1):
-            for alpha, amax, svec in cands:
-                ticks += 1
-                if ticks > budget:
-                    raise BudgetExceededError(
-                        f"witness search exceeded {budget} candidates"
-                    )
-                us = []
-                for i in range(p):
-                    u = a + svec[i]
-                    if u not in admissible[i]:
-                        break
-                    us.append(u)
-                if len(us) != p:
-                    continue
-                picked = chosen + [(a, alpha)]
-                if level + 1 == depth:
-                    return picked
-                fresh = [
-                    frozenset({us[i]} | {t + us[i] for t in sum_sets[i]})
-                    for i in range(p)
-                ]
-                merged = tuple(sum_sets[i] | fresh[i] for i in range(p))
-                key = (depth - level - 1, amax, merged)
-                if key in dead:
-                    continue
-                nxt = tuple(
-                    frozenset(
-                        v for v in admissible[i]
-                        if all((v + t) in members for t in fresh[i])
-                    )
-                    for i in range(p)
-                )
-                found = extend(level + 1, amax, merged, nxt, picked)
-                if found is not None:
-                    return found
-                dead.add(key)
+        count, distinct = candidates(low)
+        seen = 0  # positions of this level charged so far
+        for a, (j, alpha, amax, svec) in scan(distinct, admissible):
+            # every position up to this one counts as scanned: the failing
+            # and duplicate ones are charged here without being visited
+            pos = (a - 1) * count + j + 1
+            charge(pos - seen)
+            seen = pos
+            if level + 1 == depth:
+                return chosen + [(a, alpha)]
+            merged = tuple(
+                sums | (1 << (a + s)) | (sums << (a + s))
+                for sums, s in zip(sum_sets, svec)
+            )
+            key = (depth - level - 1, amax, merged)
+            if key in dead:
+                continue
+            # B_i already excludes S - t for the old sums t, so only the
+            # new ones narrow it
+            nxt = []
+            for b, old, new in zip(admissible, sum_sets, merged):
+                new &= ~old
+                while new and b:
+                    t = new & -new
+                    new ^= t
+                    b &= members >> (t.bit_length() - 1)
+                nxt.append(b)
+            found = extend(level + 1, amax, merged, nxt, chosen + [(a, alpha)])
+            if found is not None:
+                return found
+            dead.add(key)
+        charge(a_hi * count - seen)
         return None
 
-    start_sums = tuple(frozenset() for _ in range(p))
-    start_b = tuple(members for _ in range(p))
-    found = extend(0, 0, start_sums, start_b, [])
+    found = extend(0, 0, (0,) * p, (members,) * p, [])
     if found is None:
         return None
     return CstWitness(

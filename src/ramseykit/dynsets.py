@@ -67,7 +67,10 @@ class ProductTarget:
     second: object
 
 
-Target = Union[Arc, Cylinder, ProductTarget]
+# Annotation-only aliases, kept as strings: a run-time typing.Union over
+# these classes sits in typing's cache and keeps every re-imported copy of
+# this module alive.
+Target = "Union[Arc, Cylinder, ProductTarget]"
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +149,7 @@ class ProductSystem:
         return m1 and m2, b1 or b2
 
 
-DynSystem = Union[RotationSystem, ShiftSystem, ProductSystem]
+DynSystem = "Union[RotationSystem, ShiftSystem, ProductSystem]"
 
 
 @dataclass(frozen=True)
@@ -396,11 +399,14 @@ def parse_target(system, text: str):
     if kind in ("arc", "carc"):
         if not isinstance(system, RotationSystem):
             raise InputError("arc targets go with rotation systems")
+        parts = rest.split(",")
+        if len(parts) != 2:
+            shape = "lo,hi" if kind == "arc" else "center,radius"
+            raise InputError(f"{kind} targets look like {kind}:{shape}")
+        first, second = (as_rational(v) for v in parts)
         if kind == "arc":
-            lo, hi = rest.split(",")
-            return Arc.from_interval(as_rational(lo), as_rational(hi))
-        center, radius = rest.split(",")
-        return Arc(as_rational(center), as_rational(radius))
+            return Arc.from_interval(first, second)
+        return Arc(first, second)
     if kind == "cyl":
         if not isinstance(system, ShiftSystem):
             raise InputError("cylinder targets go with shift systems")

@@ -15,7 +15,9 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import BudgetExceededError, InputError
 from .windows import SetWindow
 
-# Index sets are capped so they always fit a 64-bit mask.
+# The largest index a FiniteIndexSet may hold.  Index sets are stored as
+# tuples, so this bounds input size (witness files, divisibility chains),
+# not a representation.
 INDEX_CAP = 64
 
 # Enumerating all finite sums of a k-prefix costs 2^k - 1 set insertions.

@@ -38,6 +38,14 @@ class SetWindow:
     def member_set(self) -> frozenset:
         return frozenset(self.members)
 
+    @cached_property
+    def mask(self) -> int:
+        """The members as one int, bit n set when n is a member."""
+        buf = bytearray((self.horizon >> 3) + 1)
+        for v in self.members:
+            buf[v >> 3] |= 1 << (v & 7)
+        return int.from_bytes(buf, "little")
+
     def __contains__(self, n) -> bool:
         return n in self.member_set
 

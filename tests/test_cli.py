@@ -160,6 +160,16 @@ def test_exit_codes(capsys, schur_mat):
     assert code == 2
 
 
+def test_malformed_target_exits_one_without_output(capsys):
+    for target in ("arc:0", "arc:1,2,3", "carc:1/2"):
+        code = run(["dyn", "orbit", "--system", "rot:1/3", "--point", "0",
+                    "--target", target, "--horizon", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "targets look like" in captured.err
+
+
 def test_budget_verdict_payload(capsys, schur_mat):
     code, out = invoke(capsys, "rado", "empirical", "--matrix", schur_mat,
                        "--colors", "2", "--horizon", "12", "--budget", "3")

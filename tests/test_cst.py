@@ -75,6 +75,18 @@ def test_odd_window_depth_two_is_proven_absent():
     assert cst_search(SetWindow.odds(999), specs, 2) is None
 
 
+def assert_matches_brute_force(window, specs, depth):
+    expected = brute_search(window, specs, depth)
+    got = cst_search(window, specs, depth)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert list(got.a_values) == [a for a, _ in expected]
+        assert [al.members for al in got.alphas] == [al for _, al in expected]
+        assert verify_cst_witness(window, specs, got)
+
+
 def test_search_agrees_with_brute_force_on_small_windows():
     rng = random.Random(18)
     for _ in range(12):
@@ -85,15 +97,16 @@ def test_search_agrees_with_brute_force_on_small_windows():
             for _ in range(rng.randint(1, 2))
         ]
         depth = rng.randint(1, 2)
-        expected = brute_search(window, specs, depth)
-        got = cst_search(window, specs, depth)
-        if expected is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert list(got.a_values) == [a for a, _ in expected]
-            assert [al.members for al in got.alphas] == [al for _, al in expected]
-            assert verify_cst_witness(window, specs, got)
+        assert_matches_brute_force(window, specs, depth)
+    # every term beyond the horizon: a_hi <= 0, so no a is tried at all
+    window = SetWindow.from_members(14, [3, 5, 14])
+    assert_matches_brute_force(window, [IPSystemSpec.from_terms([16, 20, 17])], 1)
+    # mixed signs in both systems: shifts run both ways within one scan
+    window = SetWindow.from_members(14, [2, 3, 5, 6, 8, 9, 11, 12, 14])
+    specs = [IPSystemSpec.from_terms([3, -2, 1]),
+             IPSystemSpec.from_terms([-1, 2, -3])]
+    for depth in (1, 2):
+        assert_matches_brute_force(window, specs, depth)
 
 
 def test_multi_system_witness():
@@ -152,6 +165,34 @@ def test_budget_verdict_is_distinct_from_absent():
         cst_search(SetWindow.odds(999), specs, 2, budget=50)
     # same instance with room to finish: a definite refutation, not an error
     assert cst_search(SetWindow.odds(999), specs, 2) is None
+
+
+def test_budget_counts_every_scanned_position():
+    """odd + odd is even, so no level-2 term survives on the odds and the
+    search scans all of level 1: a_hi * (2^h - 1) = 98 * 63 positions."""
+    window, specs = SetWindow.odds(99), [IPSystemSpec.constant(1, 6)]
+    assert cst_search(window, specs, 2, budget=98 * 63) is None
+    with pytest.raises(BudgetExceededError,
+                       match="witness search exceeded 6173 candidates"):
+        cst_search(window, specs, 2, budget=98 * 63 - 1)
+
+
+@pytest.mark.parametrize("expr, rules, horizon, depth, minimal, a_values", [
+    ("evens:100", ["const:2"], 6, 3, 112, (2, 2, 2)),
+    ("mod:1,3,120", ["geom:1,2"], 7, 3, 15113, None),
+    ("all:30", ["arith:-1,1", "const:2"], 4, 2, 15, (1, 1)),
+])
+def test_minimal_budgets_are_pinned(expr, rules, horizon, depth, minimal,
+                                    a_values):
+    """The least budget each search finishes within.  A scan that skips
+    failing (a, alpha) pairs must still charge every one of them."""
+    window = SetWindow.from_expression(expr)
+    specs = [IPSystemSpec.parse(rule, horizon=horizon) for rule in rules]
+    for budget in (minimal, minimal + 1):
+        got = cst_search(window, specs, depth, budget=budget)
+        assert (got and got.a_values) == a_values
+    with pytest.raises(BudgetExceededError):
+        cst_search(window, specs, depth, budget=minimal - 1)
 
 
 def test_fs_windows_support_every_depth():

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 
+import ramseykit
 from ramseykit.dynsets import (
     Arc,
     Cylinder,
@@ -244,8 +249,36 @@ def test_parse_round_trips():
         parse_target(sys_a, "cyl:01")
 
 
+@pytest.mark.parametrize("text", ["arc:0", "arc:1,2,3", "arc:", "carc:1/2",
+                                  "carc:0,1/10,1"])
+def test_malformed_arcs_are_input_errors(text):
+    with pytest.raises(InputError):
+        parse_target(parse_system("rot:1/3"), text)
+
+
 def test_shift_system_from_file(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("0101\n1100\n")
     system = parse_system(f"shift:file={path}")
     assert system.symbols == "01011100"
+
+
+def test_reimport_releases_old_modules():
+    """A fresh import must not keep the previous one alive.  A run-time
+    typing.Union over the module's classes would stay in typing's cache
+    and pin every old module dict through the classes' methods."""
+    script = textwrap.dedent("""
+        import gc, sys, weakref
+        import ramseykit.dynsets
+        first = weakref.ref(ramseykit.dynsets.Arc)
+        for _ in range(3):
+            for name in [m for m in sys.modules if m.startswith("ramseykit")]:
+                del sys.modules[name]
+            import ramseykit.dynsets
+        gc.collect()
+        sys.exit(0 if first() is None else 1)
+    """)
+    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+    assert proc.returncode == 0

@@ -11,6 +11,22 @@ def test_basic_construction_and_membership():
     assert len(w) == 3
 
 
+def test_mask_matches_members():
+    w = SetWindow.from_members(70, [1, 3, 64, 70])
+    assert w.mask == sum(1 << v for v in w.members)
+    assert SetWindow.odds(9).mask == 0b1010101010
+    assert SetWindow(5, ()).mask == 0
+
+
+def test_mask_is_cached_and_leaves_equality_alone():
+    w = SetWindow.evens(100)
+    other = SetWindow.evens(100)
+    first = w.mask
+    assert w.mask is first
+    assert w == other and hash(w) == hash(other)
+    assert w != SetWindow.evens(101)
+
+
 def test_validation():
     with pytest.raises(InputError):
         SetWindow(10, (2, 2))
