@@ -116,14 +116,14 @@ def cst_search(
     p = len(specs)
     # a runs over 1..a_hi, none when every sum already lies beyond S
     a_hi = max(0, window.horizon - min(_min_subset_sum(s) for s in specs))
-    a_range = (1 << (a_hi + 1)) - 2
     ticks = 0
     dead: set = set()
     cand_cache: dict[int, tuple] = {}
 
     def candidates(low: int) -> tuple:
-        """(count, distinct) over the nonempty subsets of (low, horizon] in
-        binary-counting order: count of them all, and (position, index
+        """(count, reach, distinct) over the nonempty subsets of
+        (low, horizon] in binary-counting order: count of them all, the
+        largest a the budget can reach at this level, and (position, index
         tuple, max index, per-spec sums) for the first subset of each
         (max index, sums) pair.  A later subset with the same pair would
         reach the same memo key for every a, so it can only be a dead
@@ -152,17 +152,27 @@ def cst_search(
                 sums[i][mask] = sums[i][rest] + specs[i].terms[idx - 1]
             key = (sets[mask][-1], tuple(sums[i][mask] for i in range(p)))
             distinct.setdefault(key, (mask - 1, sets[mask]) + key)
-        got = cand_cache[low] = (count - 1, list(distinct.values()))
+        # an a beyond reach starts at position (a - 1) * (count - 1) + 1,
+        # already over budget, so the bit ranges stay small however large
+        # a_hi is
+        reach = min(a_hi, budget // (count - 1) + 1) if count > 1 else 0
+        got = cand_cache[low] = (count - 1, reach, list(distinct.values()))
         return got
 
-    def scan(distinct, admissible):
-        """(a, candidate) for every distinct candidate whose terms a + s_i
-        all lie in B_i, in (a, position) order."""
+    def scan(reach, distinct, admissible):
+        """(a, candidate) for every a <= reach and distinct candidate whose
+        terms a + s_i all lie in B_i, in (a, position) order."""
+        a_range = (1 << (reach + 1)) - 2
         passing = []
         for cand in distinct:
             ok = a_range
             for b, s in zip(admissible, cand[3]):
-                ok &= b >> s if s >= 0 else b << -s
+                if s >= 0:
+                    ok &= b >> s
+                elif -s <= reach:
+                    ok &= b << -s
+                else:
+                    ok = 0
             if ok:
                 passing.append((ok, cand))
         union = 0
@@ -187,9 +197,9 @@ def cst_search(
     def extend(level, low, sum_sets, admissible, chosen):
         if not all(admissible):
             return None
-        count, distinct = candidates(low)
+        count, reach, distinct = candidates(low)
         seen = 0  # positions of this level charged so far
-        for a, (j, alpha, amax, svec) in scan(distinct, admissible):
+        for a, (j, alpha, amax, svec) in scan(reach, distinct, admissible):
             # every position up to this one counts as scanned: the failing
             # and duplicate ones are charged here without being visited
             pos = (a - 1) * count + j + 1

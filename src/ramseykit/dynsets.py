@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import InputError
 from .exactq import as_rational
@@ -65,12 +65,6 @@ class Cylinder:
 class ProductTarget:
     first: object
     second: object
-
-
-# Annotation-only aliases, kept as strings: a run-time typing.Union over
-# these classes sits in typing's cache and keeps every re-imported copy of
-# this module alive.
-Target = "Union[Arc, Cylinder, ProductTarget]"
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +141,6 @@ class ProductSystem:
         m2, b2 = self.second.classify(state[1], target.second)
         # flag whenever either component decision sat on an endpoint
         return m1 and m2, b1 or b2
-
-
-DynSystem = "Union[RotationSystem, ShiftSystem, ProductSystem]"
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,14 @@ def test_exit_codes(capsys, schur_mat):
     assert code == 2
 
 
+def test_cst_search_with_huge_negative_terms_exits_two(capsys):
+    code, out = invoke(capsys, "cst", "search", "--set", "odds:99",
+                       "--specs", "const:-10000000000000000000", "--depth", "1",
+                       "--spec-horizon", "3")
+    assert code == 2
+    assert json.loads(out)["verdict"] == "budget-exceeded"
+
+
 def test_malformed_target_exits_one_without_output(capsys):
     for target in ("arc:0", "arc:1,2,3", "carc:1/2"):
         code = run(["dyn", "orbit", "--system", "rot:1/3", "--point", "0",

@@ -177,6 +177,26 @@ def test_budget_counts_every_scanned_position():
         cst_search(window, specs, 2, budget=98 * 63 - 1)
 
 
+@pytest.mark.parametrize("expr, rule, horizon, depth, a_values", [
+    ("odds:99", "geom:-1,1000", 8, 2, None),
+    ("odds:99", "const:-10000000000000000000", 3, 1, None),
+    ("all:100", "geom:-1,1000", 8, 2, (2, 1001)),
+])
+def test_huge_negative_terms_stay_within_budget(expr, rule, horizon, depth,
+                                                a_values):
+    """a_hi is over 10^19 here.  Positions past the budget are never
+    scanned, so the search answers at once instead of running out of
+    memory, and refutations raise the budget error as before."""
+    window = SetWindow.from_expression(expr)
+    specs = [IPSystemSpec.parse(rule, horizon=horizon)]
+    if a_values is None:
+        with pytest.raises(BudgetExceededError,
+                           match="witness search exceeded 5000000 candidates"):
+            cst_search(window, specs, depth)
+    else:
+        assert cst_search(window, specs, depth).a_values == a_values
+
+
 @pytest.mark.parametrize("expr, rules, horizon, depth, minimal, a_values", [
     ("evens:100", ["const:2"], 6, 3, 112, (2, 2, 2)),
     ("mod:1,3,120", ["geom:1,2"], 7, 3, 15113, None),
