@@ -86,6 +86,31 @@ def _min_subset_sum(spec: IPSystemSpec) -> int:
     return negatives if negatives < 0 else min(spec.terms)
 
 
+def _live_terms(b: int, probed: int) -> int:
+    """The members u of probed with b & (b >> u) nonzero: the differences
+    of two members of b.  Each step takes the next member x of b, smallest
+    first, and settles every open u with x + u in b, then tests the largest
+    open u (the one the fewest members can settle) by itself.  So at most
+    min(|probed|, |b|) steps, and on a window with few dead ends the
+    smallest members settle almost every u at once."""
+    live = 0
+    todo = probed
+    rest = b
+    while todo and rest:
+        x = rest & -rest
+        rest ^= x
+        hit = todo & (b >> (x.bit_length() - 1))
+        live |= hit
+        todo ^= hit
+        if todo:
+            u = todo.bit_length() - 1
+            todo ^= 1 << u
+            if b & (b >> u):
+                live |= 1 << u
+    # once every member of b has been taken, the open u are dead ends
+    return live
+
+
 def cst_search(
     window: SetWindow,
     specs: Sequence[IPSystemSpec],
@@ -102,10 +127,21 @@ def cst_search(
     B_i = S  intersect  (S - t) over all subset sums t collected so far --
     membership there is exactly what keeps every new subset sum inside S,
     so dead states can be memoized by their sum sets.  B_i and the sum sets
-    are int bitmasks (bit n set when n is a member), so the update is
-    B_i & (S >> t) and one AND over the systems gives every passing a for
-    an index set at once.  The budget counts every (a, alpha) position in
-    scan order, including those that fail or are skipped.
+    are int bitmasks (bit n set when n is a member), and one AND over the
+    systems gives every passing a for an index set at once.  A new term
+    u = a + s_i adds the sums u and t + u, so the next level's set is
+    B_i & (B_i >> u).
+
+    That set is empty unless u is a difference of two members of B_i, so
+    below the last level each scan first drops the positions whose terms
+    are not: per system it collects the terms the level would try and
+    keeps the live ones, in at most min(|terms|, |B_i|) big-int steps
+    however many positions there are (see _live_terms); the last level is
+    not filtered.  The budget counts every (a, alpha) position
+    in scan order, including those that fail, are skipped as duplicates or
+    are dropped by this look-ahead; a dropped position is charged with the
+    next visited one or with the level's closing charge, just as a failing
+    one is, and it would have charged nothing below it.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -159,9 +195,10 @@ def cst_search(
         got = cand_cache[low] = (count - 1, reach, list(distinct.values()))
         return got
 
-    def scan(reach, distinct, admissible):
+    def scan(reach, distinct, admissible, last):
         """(a, candidate) for every a <= reach and distinct candidate whose
-        terms a + s_i all lie in B_i, in (a, position) order."""
+        terms a + s_i all lie in B_i, and below the last level are live in
+        B_i too, in (a, position) order."""
         a_range = (1 << (reach + 1)) - 2
         passing = []
         for cand in distinct:
@@ -175,6 +212,20 @@ def cst_search(
                     ok = 0
             if ok:
                 passing.append((ok, cand))
+        if not last:
+            for i, b in enumerate(admissible):
+                probed = 0
+                for ok, cand in passing:
+                    s = cand[3][i]
+                    probed |= ok << s if s >= 0 else ok >> -s
+                live = _live_terms(b, probed)
+                kept = []
+                for ok, cand in passing:
+                    s = cand[3][i]
+                    ok &= live >> s if s >= 0 else live << -s
+                    if ok:
+                        kept.append((ok, cand))
+                passing = kept
         union = 0
         for ok, _ in passing:
             union |= ok
@@ -195,35 +246,30 @@ def cst_search(
             )
 
     def extend(level, low, sum_sets, admissible, chosen):
+        # only an empty window stops here: the look-ahead keeps every
+        # deeper level's sets nonempty
         if not all(admissible):
             return None
         count, reach, distinct = candidates(low)
+        last = level + 1 == depth
         seen = 0  # positions of this level charged so far
-        for a, (j, alpha, amax, svec) in scan(reach, distinct, admissible):
-            # every position up to this one counts as scanned: the failing
-            # and duplicate ones are charged here without being visited
+        for a, (j, alpha, amax, svec) in scan(reach, distinct, admissible, last):
+            # every position up to this one counts as scanned: the failing,
+            # duplicate and dead-end ones are charged here without a visit
             pos = (a - 1) * count + j + 1
             charge(pos - seen)
             seen = pos
-            if level + 1 == depth:
+            if last:
                 return chosen + [(a, alpha)]
+            terms = [a + s for s in svec]
             merged = tuple(
-                sums | (1 << (a + s)) | (sums << (a + s))
-                for sums, s in zip(sum_sets, svec)
+                sums | (1 << u) | (sums << u)
+                for sums, u in zip(sum_sets, terms)
             )
             key = (depth - level - 1, amax, merged)
             if key in dead:
                 continue
-            # B_i already excludes S - t for the old sums t, so only the
-            # new ones narrow it
-            nxt = []
-            for b, old, new in zip(admissible, sum_sets, merged):
-                new &= ~old
-                while new and b:
-                    t = new & -new
-                    new ^= t
-                    b &= members >> (t.bit_length() - 1)
-                nxt.append(b)
+            nxt = [b & (b >> u) for b, u in zip(admissible, terms)]
             found = extend(level + 1, amax, merged, nxt, chosen + [(a, alpha)])
             if found is not None:
                 return found

@@ -348,8 +348,16 @@ def parse_system(text: str):
         return RotationSystem(as_rational(rest))
     if kind == "shift":
         if rest.startswith("file="):
-            with open(rest[len("file="):], "r", encoding="utf-8") as fh:
-                rest = "".join(fh.read().split())
+            path = rest[len("file="):]
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    rest = "".join(fh.read().split())
+            except OSError as exc:
+                raise InputError(
+                    f"cannot read shift file {path!r}: {exc.strerror}"
+                ) from exc
+            except UnicodeDecodeError as exc:
+                raise InputError(f"shift file {path!r} is not UTF-8 text") from exc
         return ShiftSystem(rest)
     if kind == "prod":
         inner = rest.strip()

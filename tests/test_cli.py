@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ramseykit
 from ramseykit.cli import run
 from ramseykit.exactq import RationalMatrix
 from ramseykit.rado import ColumnsCertificate, verify_certificate
@@ -176,6 +180,24 @@ def test_malformed_target_exits_one_without_output(capsys):
         assert code == 1
         assert captured.out == ""
         assert "targets look like" in captured.err
+
+
+@pytest.mark.parametrize("name", ["no-such-file.txt", "."])
+def test_unreadable_shift_file_exits_one_without_traceback(name, tmp_path):
+    """A missing file and a directory both end in the input error, in a
+    fresh process, so an escaping exception would show its traceback."""
+    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramseykit.cli", "dyn", "orbit",
+         "--system", f"shift:file={name}", "--point", "0",
+         "--target", "cyl:01", "--horizon", "5"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"cannot read shift file {name!r}" in proc.stderr
 
 
 def test_budget_verdict_payload(capsys, schur_mat):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseykit.cst import (
     CstWitness,
@@ -87,6 +88,28 @@ def assert_matches_brute_force(window, specs, depth):
         assert verify_cst_witness(window, specs, got)
 
 
+def level_zero_positions(window, specs):
+    """(live, dead) counts of the first-level (a, alpha) positions whose
+    terms all lie in the window: live when every term is also a difference
+    of two members, so the next level has somewhere to go."""
+    members = window.member_set
+    differences = {y - x for x in members for y in members}
+    horizon = specs[0].horizon
+    a_hi = window.horizon - min(min(0, sum(t for t in s.terms if t < 0))
+                                or min(s.terms) for s in specs)
+    live = dead = 0
+    for a in range(1, a_hi + 1):
+        for mask in range(1, 1 << horizon):
+            terms = [a + sum(t for i, t in enumerate(s.terms) if mask >> i & 1)
+                     for s in specs]
+            if all(u in members for u in terms):
+                if all(u in differences for u in terms):
+                    live += 1
+                else:
+                    dead += 1
+    return live, dead
+
+
 def test_search_agrees_with_brute_force_on_small_windows():
     rng = random.Random(18)
     for _ in range(12):
@@ -107,6 +130,21 @@ def test_search_agrees_with_brute_force_on_small_windows():
              IPSystemSpec.from_terms([-1, 2, -3])]
     for depth in (1, 2):
         assert_matches_brute_force(window, specs, depth)
+    # depth 3 on dense windows, one system with a negative term: level 0
+    # holds both live positions and dead ends (a term that is no difference
+    # of two members), and some of these inputs are refuted, so a look-ahead
+    # that drops a live position disagrees with the brute force
+    for _ in range(10):
+        window = SetWindow.from_members(
+            30, rng.sample(range(1, 31), rng.randint(14, 28)))
+        specs = [
+            IPSystemSpec.from_terms([rng.randint(-2, 3) for _ in range(4)]),
+            IPSystemSpec.from_terms(
+                [rng.randint(1, 3) for _ in range(3)] + [-rng.randint(1, 2)]),
+        ]
+        live, dead = level_zero_positions(window, specs)
+        assert live and dead
+        assert_matches_brute_force(window, specs, 3)
 
 
 def test_multi_system_witness():
@@ -197,16 +235,32 @@ def test_huge_negative_terms_stay_within_budget(expr, rule, horizon, depth,
         assert cst_search(window, specs, depth).a_values == a_values
 
 
+# windows outside the set-expression grammar, by the name the pins use
+NAMED_WINDOWS = {
+    # return times of 0 to [0, 1/3) under rotation by 233/377
+    "rot233/377:300": SetWindow.from_members(
+        300, [k for k in range(1, 301) if (233 * k % 377) * 3 < 377]),
+}
+
+
 @pytest.mark.parametrize("expr, rules, horizon, depth, minimal, a_values", [
     ("evens:100", ["const:2"], 6, 3, 112, (2, 2, 2)),
     ("mod:1,3,120", ["geom:1,2"], 7, 3, 15113, None),
     ("all:30", ["arith:-1,1", "const:2"], 4, 2, 15, (1, 1)),
+    # dead-end positions dropped at levels 1 and 2, not only at level 0
+    ("rot233/377:300", ["arith:1,1", "const:2"], 5, 3, 15801, (7, 11, 29)),
+    ("mod:0,3,300", ["const:3", "arith:-3,3"], 6, 4, 181, (3, 3, 3, 3)),
+    # odd + odd is even, so every first-level position is a dead end and
+    # the search charges a_hi * (2^h - 1) = 149 * 63 positions, as in
+    # test_budget_counts_every_scanned_position
+    ("odds:150", ["const:1", "const:2"], 6, 2, 149 * 63, None),
 ])
 def test_minimal_budgets_are_pinned(expr, rules, horizon, depth, minimal,
                                     a_values):
     """The least budget each search finishes within.  A scan that skips
-    failing (a, alpha) pairs must still charge every one of them."""
-    window = SetWindow.from_expression(expr)
+    failing or dead-end (a, alpha) pairs must still charge every one of
+    them."""
+    window = NAMED_WINDOWS.get(expr) or SetWindow.from_expression(expr)
     specs = [IPSystemSpec.parse(rule, horizon=horizon) for rule in rules]
     for budget in (minimal, minimal + 1):
         got = cst_search(window, specs, depth, budget=budget)
@@ -301,3 +355,27 @@ def test_tower_families_form_a_vector_system():
     )
     assert combined == per_coordinate
     assert verify_mpc(SetWindow.full(300), MpcParams(1, 1, 1), combined)
+
+
+@st.composite
+def small_searches(draw):
+    """A window inside [1..40], one or two scalar specs with terms in
+    -3..6 at a shared horizon <= 5, and a depth <= 3."""
+    members = draw(st.sets(st.integers(1, 40)))
+    horizon = draw(st.integers(1, 5))
+    terms = st.lists(st.integers(-3, 6), min_size=horizon, max_size=horizon)
+    specs = [IPSystemSpec.from_terms(t)
+             for t in draw(st.lists(terms, min_size=1, max_size=2))]
+    return SetWindow.from_members(40, members), specs, draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_searches())
+def test_search_results_hold_and_refutations_agree_with_brute_force(search):
+    window, specs, depth = search
+    got = cst_search(window, specs, depth)
+    if got is None:
+        assert brute_search(window, specs, depth) is None
+    else:
+        assert got.depth == depth
+        assert verify_cst_witness(window, specs, got)

@@ -263,6 +263,16 @@ def test_shift_system_from_file(tmp_path):
     assert system.symbols == "01011100"
 
 
+def test_unreadable_shift_file_is_an_input_error(tmp_path):
+    for path in (tmp_path / "no-such.txt", tmp_path):
+        with pytest.raises(InputError, match="cannot read shift file"):
+            parse_system(f"shift:file={path}")
+    binary = tmp_path / "seq.bin"
+    binary.write_bytes(b"\xff\xfe01")
+    with pytest.raises(InputError, match="not UTF-8 text"):
+        parse_system(f"shift:file={binary}")
+
+
 def test_reimport_releases_old_modules():
     """A fresh import must not keep the previous one alive.  A run-time
     typing.Union over the module's classes would stay in typing's cache
