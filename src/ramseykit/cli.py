@@ -5,6 +5,9 @@ One batch process per invocation.  Reports go to stdout as canonical JSON
 output; wall-clock timing goes to stderr where it cannot break that
 contract.  Exit status: 0 for any definite verdict (including "absent"),
 2 when a search budget ran out, 1 for input errors and bad usage.
+
+Every subcommand is one row of `COMMANDS`; `run` adds the subcommand name and
+the row's echoed inputs to the fields its handler returns.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import cst as cstmod
 from . import deuber, dynsets, ipcore, rado
-from .errors import BudgetExceededError, DegenerateMatrixError, InputError
+from .errors import (BudgetExceededError, DegenerateMatrixError, InputError,
+                     read_text)
 from .exactq import RationalMatrix, as_rational
 from .windows import SetWindow
 
@@ -48,30 +53,19 @@ def _window_payload(window: SetWindow) -> dict:
     return payload
 
 
-def _coloring_payload(coloring) -> dict:
-    return {
-        "horizon": coloring.horizon,
-        "color_count": coloring.color_count,
-        "colors": list(coloring.colors),
-    }
+def _coloring_payload(coloring):
+    return None if coloring is None else asdict(coloring)
 
 
 def _load_matrix(path: str) -> RationalMatrix:
+    return RationalMatrix.from_text(read_text(path, "matrix file"))
+
+
+def _int_list(text: str, flag: str) -> tuple:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return RationalMatrix.from_text(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
-
-
-def _nontrivial_flag(text: str):
-    if text == "auto":
-        return None
-    if text == "on":
-        return True
-    if text == "off":
-        return False
-    raise InputError("--nontrivial takes auto, on or off")
+        return tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"{flag} must be comma-separated integers") from exc
 
 
 def _parse_specs(text: str, horizon) -> list:
@@ -79,337 +73,267 @@ def _parse_specs(text: str, horizon) -> list:
             for p in text.split(";") if p.strip()]
 
 
-# ---------------------------------------------------------------------------
-# handlers: each returns the report dict
+_NONTRIVIAL = {"auto": None, "on": True, "off": False}
+
+
+# handlers: each returns its own report fields
 
 def _rado_check(args):
     matrix = _load_matrix(args.matrix)
-    inputs = {"matrix": args.matrix}
     try:
         cert = rado.columns_condition(matrix)
     except DegenerateMatrixError as exc:
-        return {
-            "subcommand": "rado check",
-            "inputs": inputs,
-            "degenerate": True,
-            "note": str(exc),
-            "partition_regular": True,
-            "certificate": None,
-        }
-    payload = None
+        return {"degenerate": True, "note": str(exc),
+                "partition_regular": True, "certificate": None}
     if cert is not None:
         assert rado.verify_certificate(matrix, cert)
-        payload = cert.to_json_dict()
-    return {
-        "subcommand": "rado check",
-        "inputs": inputs,
-        "degenerate": False,
-        "partition_regular": cert is not None,
-        "certificate": payload,
-    }
+    return {"degenerate": False, "partition_regular": cert is not None,
+            "certificate": cert.to_json_dict() if cert is not None else None}
 
 
 def _rado_empirical(args):
-    matrix = _load_matrix(args.matrix)
     result = rado.empirical_pr(
-        matrix,
-        args.colors,
-        args.horizon,
-        nontrivial=_nontrivial_flag(args.nontrivial),
-        distinct=args.distinct,
-        budget=args.budget,
-    )
-    return {
-        "subcommand": "rado empirical",
-        "inputs": {"matrix": args.matrix, "colors": args.colors,
-                   "horizon": args.horizon},
-        "verdict": result.verdict,
-        "nontrivial": result.nontrivial,
-        "witness": _coloring_payload(result.witness) if result.witness else None,
-    }
+        _load_matrix(args.matrix), args.colors, args.horizon,
+        nontrivial=_NONTRIVIAL[args.nontrivial], distinct=args.distinct,
+        budget=args.budget)
+    return {"verdict": result.verdict, "nontrivial": result.nontrivial,
+            "witness": _coloring_payload(result.witness)}
 
 
 def _rado_solve(args):
     matrix = _load_matrix(args.matrix)
     window = SetWindow.from_expression(args.set)
-    nontrivial = _nontrivial_flag(args.nontrivial)
+    nontrivial = _NONTRIVIAL[args.nontrivial]
     if nontrivial is None:
         nontrivial = rado.default_nontrivial(matrix)
     found = rado.solve_in_cell(
         matrix, window, nontrivial=nontrivial, distinct=args.distinct
     )
+    return {"nontrivial": nontrivial, "distinct": args.distinct,
+            "solution": list(found.values) if found else None}
+
+
+def _sweep_payload(report, forced_key: str, last_key: str) -> dict:
+    """A forcing sweep's report, under the subcommand's key names."""
+    forced = report.forced_at
     return {
-        "subcommand": "rado solve",
-        "inputs": {"matrix": args.matrix, "set": args.set},
-        "nontrivial": nontrivial,
-        "distinct": args.distinct,
-        "solution": list(found.values) if found else None,
+        "nontrivial": report.nontrivial,
+        forced_key: forced,
+        last_key: forced - 1 if forced else None,
+        "extremal_witness": _coloring_payload(report.extremal_witness),
     }
 
 
 def _rado_schur(args):
     report = rado.schur_number(args.colors, args.max, budget=args.budget)
-    number = report.forced_at - 1 if report.forced_at else None
-    return {
-        "subcommand": "rado schur-number",
-        "inputs": {"colors": args.colors, "max": args.max},
-        "nontrivial": report.nontrivial,
-        "schur_number": number,
-        "forced_at": report.forced_at,
-        "extremal_witness": (
-            _coloring_payload(report.extremal_witness)
-            if report.extremal_witness else None
-        ),
-    }
+    return _sweep_payload(report, "forced_at", "schur_number")
 
 
 def _rado_vdw(args):
-    report = rado.vdw_number(args.colors, args.length, args.max, budget=args.budget)
-    return {
-        "subcommand": "rado vdw-number",
-        "inputs": {"colors": args.colors, "length": args.length, "max": args.max},
-        "nontrivial": report.nontrivial,
-        "vdw_number": report.forced_at,
-        "witness_at": report.forced_at - 1 if report.forced_at else None,
-        "extremal_witness": (
-            _coloring_payload(report.extremal_witness)
-            if report.extremal_witness else None
-        ),
-    }
+    report = rado.vdw_number(args.colors, args.length, args.max,
+                             budget=args.budget)
+    return _sweep_payload(report, "vdw_number", "witness_at")
 
 
-def _parse_generators(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise InputError("generators must be comma-separated integers") from exc
+def _mpc_params(args) -> deuber.MpcParams:
+    return deuber.MpcParams(args.m, args.p, args.c)
 
 
 def _mpc_gen(args):
-    params = deuber.MpcParams(args.m, args.p, args.c)
-    system = deuber.generate_mpc(params, _parse_generators(args.generators))
-    return {
-        "subcommand": "mpc gen",
-        "inputs": {"m": args.m, "p": args.p, "c": args.c,
-                   "generators": args.generators},
-        "row_count": deuber.mpc_size(args.m, args.p),
-        "values": list(system.values),
-    }
+    params = _mpc_params(args)
+    generators = _int_list(args.generators, "--generators")
+    return {"row_count": deuber.mpc_size(args.m, args.p),
+            "values": list(deuber.generate_mpc(params, generators).values)}
 
 
 def _mpc_verify(args):
-    params = deuber.MpcParams(args.m, args.p, args.c)
+    params = _mpc_params(args)
     window = SetWindow.from_expression(args.set)
-    ok = deuber.verify_mpc(window, params, _parse_generators(args.generators))
-    return {
-        "subcommand": "mpc verify",
-        "inputs": {"set": args.set, "m": args.m, "p": args.p, "c": args.c,
-                   "generators": args.generators},
-        "contained": ok,
-    }
+    generators = _int_list(args.generators, "--generators")
+    return {"contained": deuber.verify_mpc(window, params, generators)}
 
 
 def _mpc_find(args):
-    params = deuber.MpcParams(args.m, args.p, args.c)
+    params = _mpc_params(args)
     window = SetWindow.from_expression(args.set)
     found = deuber.contains_mpc(window, params, args.bound)
-    return {
-        "subcommand": "mpc find",
-        "inputs": {"set": args.set, "m": args.m, "p": args.p, "c": args.c,
-                   "bound": args.bound},
-        "generators": list(found) if found else None,
-    }
+    return {"generators": list(found) if found else None}
 
 
 def _fs_enum(args):
     spec = ipcore.IPSystemSpec.parse(args.spec, horizon=args.horizon or args.k)
-    window = ipcore.fs_enumerate(spec, args.k)
-    return {
-        "subcommand": "fs enum",
-        "inputs": {"spec": args.spec, "k": args.k},
-        "window": _window_payload(window),
-    }
+    return {"window": _window_payload(ipcore.fs_enumerate(spec, args.k))}
 
 
 def _fs_divisible(args):
     spec = ipcore.IPSystemSpec.parse(args.spec, horizon=args.horizon)
     alphas = ipcore.find_divisible_subsequence(spec, args.modulus, args.count)
-    return {
-        "subcommand": "fs divisible",
-        "inputs": {"spec": args.spec, "modulus": args.modulus,
-                   "count": args.count},
-        "alphas": [list(a.members) for a in alphas],
-        "terms": [ipcore.ip_term(spec, a) for a in alphas],
-    }
+    return {"alphas": [list(a.members) for a in alphas],
+            "terms": [ipcore.ip_term(spec, a) for a in alphas]}
 
 
 def _fs_zerosum(args):
-    try:
-        values = [int(p) for p in args.values.split(",")]
-    except ValueError as exc:
-        raise InputError("--values must be comma-separated integers") from exc
+    values = _int_list(args.values, "--values")
     indices = ipcore.zero_sum_mod(values, args.modulus)
     return {
-        "subcommand": "fs zerosum",
-        "inputs": {"values": args.values, "modulus": args.modulus},
         "indices": list(indices) if indices else None,
         "subset_sum": sum(values[i - 1] for i in indices) if indices else None,
     }
 
 
-def _orbit_payload(sub, inputs, result):
-    return {
-        "subcommand": sub,
-        "inputs": inputs,
-        "hits": list(result.window.members),
-        "boundary_hits": list(result.boundary_hits),
-    }
+def _orbit_payload(result) -> dict:
+    return {"hits": list(result.window.members),
+            "boundary_hits": list(result.boundary_hits)}
 
 
 def _dyn_orbit(args):
     system = dynsets.parse_system(args.system)
     point = dynsets.parse_point(system, args.point)
     target = dynsets.parse_target(system, args.target)
-    result = dynsets.orbit_hits(system, point, target, args.horizon)
     return _orbit_payload(
-        "dyn orbit",
-        {"system": args.system, "point": args.point, "target": args.target,
-         "horizon": args.horizon},
-        result,
-    )
+        dynsets.orbit_hits(system, point, target, args.horizon))
 
 
 def _dyn_product(args):
     sys_a = dynsets.parse_system(args.system_a)
     sys_b = dynsets.parse_system(args.system_b)
-    result = dynsets.product_return_times(
-        sys_a,
-        sys_b,
+    return _orbit_payload(dynsets.product_return_times(
+        sys_a, sys_b,
         dynsets.parse_point(sys_a, args.point_a),
         dynsets.parse_point(sys_b, args.point_b),
         (dynsets.parse_target(sys_a, args.target_a),
          dynsets.parse_target(sys_b, args.target_b)),
         args.horizon,
-    )
-    return _orbit_payload(
-        "dyn product",
-        {"system_a": args.system_a, "system_b": args.system_b,
-         "horizon": args.horizon},
-        result,
-    )
+    ))
 
 
 def _dyn_density(args):
     window = SetWindow.from_expression(args.set)
-    report = dynsets.banach_density_estimate(window, args.window)
-    return {
-        "subcommand": "dyn density",
-        "inputs": {"set": args.set, "window": args.window},
-        "window_length": report.window_length,
-        "best_start": report.best_start,
-        "count": report.count,
-        "estimate": report.estimate,
-    }
+    return asdict(dynsets.banach_density_estimate(window, args.window))
 
 
 def _dyn_gaps(args):
     window = SetWindow.from_expression(args.set)
-    return {
-        "subcommand": "dyn gaps",
-        "inputs": {"set": args.set},
-        "max_gap": dynsets.syndetic_gap(window),
-    }
+    return {"max_gap": dynsets.syndetic_gap(window)}
 
 
 def _dyn_pws(args):
     window = SetWindow.from_expression(args.set)
-    report = dynsets.piecewise_syndetic_window(window, args.shifts, args.length)
-    return {
-        "subcommand": "dyn pws",
-        "inputs": {"set": args.set, "shifts": args.shifts, "length": args.length},
-        "contains_interval": report.contains_interval,
-        "witness_start": report.witness_start,
-        "best_length": report.best_length,
-        "best_start": report.best_start,
-    }
+    return asdict(
+        dynsets.piecewise_syndetic_window(window, args.shifts, args.length))
 
 
 def _dyn_strauss(args):
     result = dynsets.strauss_set(as_rational(args.epsilon), args.horizon)
     assert dynsets.strauss_witnesses_hold(result)
-    return {
-        "subcommand": "dyn strauss",
-        "inputs": {"epsilon": args.epsilon, "horizon": args.horizon},
-        "density": result.density,
-        "witnesses": [list(w) for w in result.witnesses],
-        "window": _window_payload(result.window),
-    }
+    return {"density": result.density,
+            "witnesses": [list(w) for w in result.witnesses],
+            "window": _window_payload(result.window)}
 
 
 def _cst_search(args):
     window = SetWindow.from_expression(args.set)
     specs = _parse_specs(args.specs, args.spec_horizon)
     witness = cstmod.cst_search(window, specs, args.depth, budget=args.budget)
-    return {
-        "subcommand": "cst search",
-        "inputs": {"set": args.set, "specs": args.specs, "depth": args.depth,
-                   "spec_horizon": args.spec_horizon},
-        "verdict": "witness" if witness else "absent",
-        "witness": witness.to_json_dict() if witness else None,
-    }
+    return {"verdict": "witness" if witness else "absent",
+            "witness": witness.to_json_dict() if witness else None}
 
 
 def _cst_verify(args):
     window = SetWindow.from_expression(args.set)
     specs = _parse_specs(args.specs, args.spec_horizon)
     try:
-        with open(args.witness, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read witness file: {exc}") from exc
+        data = json.loads(read_text(args.witness, "witness file"))
     except json.JSONDecodeError as exc:
         raise InputError(f"witness file is not JSON: {exc}") from exc
     if isinstance(data, dict) and "witness" in data:
         data = data["witness"]
     witness = cstmod.CstWitness.from_json_dict(data)
-    accepted = cstmod.verify_cst_witness(window, specs, witness)
-    return {
-        "subcommand": "cst verify",
-        "inputs": {"set": args.set, "specs": args.specs,
-                   "witness": args.witness},
-        "accepted": accepted,
-    }
+    return {"accepted": cstmod.verify_cst_witness(window, specs, witness)}
 
 
 def _cst_mpc(args):
     window = SetWindow.from_expression(args.set)
     result = cstmod.mpc_from_cst(
         window, args.m, args.p, args.c,
-        budget=args.budget, family_depth=args.family_depth,
-    )
-    report = {
-        "subcommand": "cst mpc",
-        "inputs": {"set": args.set, "m": args.m, "p": args.p, "c": args.c},
-        "verdict": "found" if result else "absent",
-    }
-    if result:
-        report["families"] = [list(f) for f in result.families]
-        report["generators"] = [f[0] for f in result.families]
-        report["values"] = list(result.system.values)
-    else:
-        report["families"] = None
-        report["generators"] = None
-        report["values"] = None
-    return report
+        budget=args.budget, family_depth=args.family_depth)
+    if not result:
+        return {"verdict": "absent", "families": None, "generators": None,
+                "values": None}
+    return {"verdict": "found",
+            "families": [list(f) for f in result.families],
+            "generators": [f[0] for f in result.families],
+            "values": list(result.system.values)}
 
 
-# ---------------------------------------------------------------------------
-# parser assembly
+# the command table
+
+_TEXT = {"required": True}
+_INT = {"type": int, "required": True}
+
+# every flag's type and default, stated once
+FLAGS = {
+    "matrix": _TEXT, "set": _TEXT, "generators": _TEXT, "spec": _TEXT,
+    "values": _TEXT, "system": _TEXT, "point": _TEXT, "target": _TEXT,
+    "system-a": _TEXT, "system-b": _TEXT, "point-a": _TEXT,
+    "point-b": _TEXT, "target-a": _TEXT, "target-b": _TEXT,
+    "epsilon": _TEXT, "specs": _TEXT, "witness": _TEXT,
+    "colors": _INT, "horizon": _INT, "length": _INT, "m": _INT, "p": _INT,
+    "c": _INT, "bound": _INT, "k": _INT, "modulus": _INT, "count": _INT,
+    "window": _INT, "shifts": _INT, "depth": _INT,
+    "nontrivial": {"choices": tuple(_NONTRIVIAL), "default": "auto"},
+    "distinct": {"action": "store_true"},
+    "max": {"type": int, "default": 20},
+    "budget": {"type": int, "default": rado.DEFAULT_COLORING_BUDGET},
+    "spec-horizon": {"type": int, "default": None},
+    "family-depth": {"type": int, "default": 1},
+}
+
+# the two flags whose setting depends on the group: `fs` may leave out the
+# horizon (the prefix length stands in), and `cst` has its own budget
+GROUP_FLAGS = {
+    "fs": {"horizon": {"required": False}},
+    "cst": {"budget": {"default": cstmod.DEFAULT_CST_BUDGET}},
+}
+
+# (group, command, handler, flags, inputs the report echoes)
+COMMANDS = (
+    ("rado", "check", _rado_check, "matrix", "matrix"),
+    ("rado", "empirical", _rado_empirical,
+     "matrix colors horizon nontrivial distinct budget",
+     "matrix colors horizon"),
+    ("rado", "solve", _rado_solve, "matrix set nontrivial distinct",
+     "matrix set"),
+    ("rado", "schur-number", _rado_schur, "colors max budget", "colors max"),
+    ("rado", "vdw-number", _rado_vdw, "colors length max budget",
+     "colors length max"),
+    ("mpc", "gen", _mpc_gen, "m p c generators", "m p c generators"),
+    ("mpc", "verify", _mpc_verify, "m p c set generators",
+     "set m p c generators"),
+    ("mpc", "find", _mpc_find, "m p c set bound", "set m p c bound"),
+    ("fs", "enum", _fs_enum, "spec k horizon", "spec k"),
+    ("fs", "divisible", _fs_divisible, "spec horizon modulus count",
+     "spec modulus count"),
+    ("fs", "zerosum", _fs_zerosum, "values modulus", "values modulus"),
+    ("dyn", "orbit", _dyn_orbit, "system point target horizon",
+     "system point target horizon"),
+    ("dyn", "product", _dyn_product,
+     "system-a system-b point-a point-b target-a target-b horizon",
+     "system_a system_b horizon"),
+    ("dyn", "density", _dyn_density, "set window", "set window"),
+    ("dyn", "gaps", _dyn_gaps, "set", "set"),
+    ("dyn", "pws", _dyn_pws, "set shifts length", "set shifts length"),
+    ("dyn", "strauss", _dyn_strauss, "epsilon horizon", "epsilon horizon"),
+    ("cst", "search", _cst_search, "set specs depth spec-horizon budget",
+     "set specs depth spec_horizon"),
+    ("cst", "verify", _cst_verify, "set specs spec-horizon witness",
+     "set specs witness"),
+    ("cst", "mpc", _cst_mpc, "set m p c family-depth budget", "set m p c"),
+)
+
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", default=True,
-                        help="emit the JSON report (default)")
     common.add_argument("--plain", action="store_true",
                         help="emit key=value lines instead of JSON")
     common.add_argument("--threads", type=int, default=1,
@@ -418,129 +342,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ramseykit",
                      description="partition Ramsey theory toolkit")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    g = groups.add_parser("rado", parents=[]).add_subparsers(
-        dest="command", required=True)
-    s = g.add_parser("check", parents=[common])
-    s.add_argument("--matrix", required=True)
-    s.set_defaults(handler=_rado_check)
-    s = g.add_parser("empirical", parents=[common])
-    s.add_argument("--matrix", required=True)
-    s.add_argument("--colors", type=int, required=True)
-    s.add_argument("--horizon", type=int, required=True)
-    s.add_argument("--nontrivial", default="auto")
-    s.add_argument("--distinct", action="store_true")
-    s.add_argument("--budget", type=int, default=rado.DEFAULT_COLORING_BUDGET)
-    s.set_defaults(handler=_rado_empirical)
-    s = g.add_parser("solve", parents=[common])
-    s.add_argument("--matrix", required=True)
-    s.add_argument("--set", required=True)
-    s.add_argument("--nontrivial", default="auto")
-    s.add_argument("--distinct", action="store_true")
-    s.set_defaults(handler=_rado_solve)
-    s = g.add_parser("schur-number", parents=[common])
-    s.add_argument("--colors", type=int, required=True)
-    s.add_argument("--max", type=int, default=20)
-    s.add_argument("--budget", type=int, default=rado.DEFAULT_COLORING_BUDGET)
-    s.set_defaults(handler=_rado_schur)
-    s = g.add_parser("vdw-number", parents=[common])
-    s.add_argument("--colors", type=int, required=True)
-    s.add_argument("--length", type=int, required=True)
-    s.add_argument("--max", type=int, default=20)
-    s.add_argument("--budget", type=int, default=rado.DEFAULT_COLORING_BUDGET)
-    s.set_defaults(handler=_rado_vdw)
-
-    g = groups.add_parser("mpc").add_subparsers(dest="command", required=True)
-    for name, handler, needs_set, needs_bound in (
-        ("gen", _mpc_gen, False, False),
-        ("verify", _mpc_verify, True, False),
-        ("find", _mpc_find, True, True),
-    ):
-        s = g.add_parser(name, parents=[common])
-        s.add_argument("--m", type=int, required=True)
-        s.add_argument("--p", type=int, required=True)
-        s.add_argument("--c", type=int, required=True)
-        if needs_set:
-            s.add_argument("--set", required=True)
-        if needs_bound:
-            s.add_argument("--bound", type=int, required=True)
-        else:
-            s.add_argument("--generators", required=True)
-        s.set_defaults(handler=handler)
-
-    g = groups.add_parser("fs").add_subparsers(dest="command", required=True)
-    s = g.add_parser("enum", parents=[common])
-    s.add_argument("--spec", required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--horizon", type=int, default=None)
-    s.set_defaults(handler=_fs_enum)
-    s = g.add_parser("divisible", parents=[common])
-    s.add_argument("--spec", required=True)
-    s.add_argument("--horizon", type=int, default=None)
-    s.add_argument("--modulus", type=int, required=True)
-    s.add_argument("--count", type=int, required=True)
-    s.set_defaults(handler=_fs_divisible)
-    s = g.add_parser("zerosum", parents=[common])
-    s.add_argument("--values", required=True)
-    s.add_argument("--modulus", type=int, required=True)
-    s.set_defaults(handler=_fs_zerosum)
-
-    g = groups.add_parser("dyn").add_subparsers(dest="command", required=True)
-    s = g.add_parser("orbit", parents=[common])
-    s.add_argument("--system", required=True)
-    s.add_argument("--point", required=True)
-    s.add_argument("--target", required=True)
-    s.add_argument("--horizon", type=int, required=True)
-    s.set_defaults(handler=_dyn_orbit)
-    s = g.add_parser("product", parents=[common])
-    s.add_argument("--system-a", required=True)
-    s.add_argument("--system-b", required=True)
-    s.add_argument("--point-a", required=True)
-    s.add_argument("--point-b", required=True)
-    s.add_argument("--target-a", required=True)
-    s.add_argument("--target-b", required=True)
-    s.add_argument("--horizon", type=int, required=True)
-    s.set_defaults(handler=_dyn_product)
-    s = g.add_parser("density", parents=[common])
-    s.add_argument("--set", required=True)
-    s.add_argument("--window", type=int, required=True)
-    s.set_defaults(handler=_dyn_density)
-    s = g.add_parser("gaps", parents=[common])
-    s.add_argument("--set", required=True)
-    s.set_defaults(handler=_dyn_gaps)
-    s = g.add_parser("pws", parents=[common])
-    s.add_argument("--set", required=True)
-    s.add_argument("--shifts", type=int, required=True)
-    s.add_argument("--length", type=int, required=True)
-    s.set_defaults(handler=_dyn_pws)
-    s = g.add_parser("strauss", parents=[common])
-    s.add_argument("--epsilon", required=True)
-    s.add_argument("--horizon", type=int, required=True)
-    s.set_defaults(handler=_dyn_strauss)
-
-    g = groups.add_parser("cst").add_subparsers(dest="command", required=True)
-    s = g.add_parser("search", parents=[common])
-    s.add_argument("--set", required=True)
-    s.add_argument("--specs", required=True)
-    s.add_argument("--depth", type=int, required=True)
-    s.add_argument("--spec-horizon", type=int, default=None)
-    s.add_argument("--budget", type=int, default=cstmod.DEFAULT_CST_BUDGET)
-    s.set_defaults(handler=_cst_search)
-    s = g.add_parser("verify", parents=[common])
-    s.add_argument("--set", required=True)
-    s.add_argument("--specs", required=True)
-    s.add_argument("--spec-horizon", type=int, default=None)
-    s.add_argument("--witness", required=True)
-    s.set_defaults(handler=_cst_verify)
-    s = g.add_parser("mpc", parents=[common])
-    s.add_argument("--set", required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--c", type=int, required=True)
-    s.add_argument("--family-depth", type=int, default=1)
-    s.add_argument("--budget", type=int, default=cstmod.DEFAULT_CST_BUDGET)
-    s.set_defaults(handler=_cst_mpc)
-
+    commands = {}
+    for group, command, handler, flags, echo in COMMANDS:
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(
+                dest="command", required=True)
+        sub = commands[group].add_parser(command, parents=[common])
+        overrides = GROUP_FLAGS.get(group, {})
+        for flag in flags.split():
+            sub.add_argument(f"--{flag}",
+                             **{**FLAGS[flag], **overrides.get(flag, {})})
+        sub.set_defaults(handler=handler, echo=echo.split())
     return parser
 
 
@@ -556,24 +368,25 @@ def _emit(report: dict, plain: bool) -> None:
 def run(argv) -> int:
     started = time.monotonic()
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.threads < 1:
             raise InputError("--threads must be >= 1")
-        report = args.handler(args)
+        report = {
+            "subcommand": f"{args.group} {args.command}",
+            "inputs": {name: getattr(args, name) for name in args.echo},
+            **args.handler(args),
+        }
+        code = 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:
-        _emit({"verdict": "budget-exceeded", "detail": str(exc)}, False)
-        print(f"elapsed_seconds={time.monotonic() - started:.6f}",
-              file=sys.stderr)
-        return 2
-    _emit(report, args.plain)
+        report, code = {"verdict": "budget-exceeded", "detail": str(exc)}, 2
+    _emit(report, args.plain and code == 0)
     print(f"elapsed_seconds={time.monotonic() - started:.6f}", file=sys.stderr)
-    return 0
+    return code
 
 
 def main() -> None:

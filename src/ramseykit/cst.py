@@ -26,6 +26,7 @@ from .ipcore import (
     IPSystemSpec,
     alpha_less,
     find_divisible_subsequence,
+    finite_sums,
     ip_term,
 )
 from .windows import SetWindow
@@ -308,12 +309,7 @@ def verify_cst_witness(
             a + ip_term(spec, alpha)
             for a, alpha in zip(witness.a_values, witness.alphas)
         ]
-        # nonempty subset sums; 0 is a legitimate (failing) sum here, so no
-        # empty-subset sentinel is used
-        sums: set = set()
-        for t in terms:
-            sums |= {t} | {s + t for s in sums}
-        if any(s not in members for s in sums):
+        if not finite_sums(terms) <= members:
             return False
     return True
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, read_text
 from .exactq import as_rational
 from .windows import SetWindow
 
@@ -348,16 +348,7 @@ def parse_system(text: str):
         return RotationSystem(as_rational(rest))
     if kind == "shift":
         if rest.startswith("file="):
-            path = rest[len("file="):]
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    rest = "".join(fh.read().split())
-            except OSError as exc:
-                raise InputError(
-                    f"cannot read shift file {path!r}: {exc.strerror}"
-                ) from exc
-            except UnicodeDecodeError as exc:
-                raise InputError(f"shift file {path!r} is not UTF-8 text") from exc
+            rest = "".join(read_text(rest[len("file="):], "shift file").split())
         return ShiftSystem(rest)
     if kind == "prod":
         inner = rest.strip()

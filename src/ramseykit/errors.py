@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one reader of input text files."""
 
 
 class InputError(ValueError):
@@ -29,3 +29,15 @@ class MpcExpansionError(InputError):
             f"not expandable over the positive integers: level {level}, "
             f"coefficients {self.pattern} give value {value}"
         )
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of the UTF-8 file at `path`.  A file that cannot be read or
+    decoded is an InputError naming `what` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path!r} is not UTF-8 text") from exc

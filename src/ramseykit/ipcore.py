@@ -189,6 +189,14 @@ def ip_term(spec: IPSystemSpec, alpha: FiniteIndexSet) -> Term:
     return tuple(acc)
 
 
+def finite_sums(terms: Iterable[int]) -> set:
+    """Every sum over a nonempty subset of `terms`, whatever their signs."""
+    sums: set = set()
+    for t in terms:
+        sums |= {t} | {s + t for s in sums}
+    return sums
+
+
 def fs_enumerate(spec: IPSystemSpec, k: int) -> SetWindow:
     """All finite sums over nonempty subsets of the first k generators."""
     if spec.width != 1:
@@ -199,9 +207,7 @@ def fs_enumerate(spec: IPSystemSpec, k: int) -> SetWindow:
         raise BudgetExceededError(
             f"prefix length {k} exceeds the {FS_PREFIX_CAP} cap (2^k - 1 sums)"
         )
-    sums: set = set()
-    for t in spec.terms[:k]:
-        sums |= {t} | {s + t for s in sums}
+    sums = finite_sums(spec.terms[:k])
     if min(sums) < 1:
         raise InputError("finite sums leave the positive integers; no window")
     return SetWindow.from_members(max(sums), sums)

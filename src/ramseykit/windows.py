@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, read_text
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ class SetWindow:
 
     @classmethod
     def from_file(cls, path: str) -> "SetWindow":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(read_text(path, "window file"))
 
     @classmethod
     def from_expression(cls, expr: str) -> "SetWindow":

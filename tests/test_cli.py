@@ -1,12 +1,14 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import ramseykit
-from ramseykit.cli import run
+from ramseykit.cli import _build_parser, run
 from ramseykit.exactq import RationalMatrix
 from ramseykit.rado import ColumnsCertificate, verify_certificate
 
@@ -200,6 +202,48 @@ def test_unreadable_shift_file_exits_one_without_traceback(name, tmp_path):
     assert f"cannot read shift file {name!r}" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rado", "check", "--matrix", "binary.dat"],
+     "matrix file 'binary.dat' is not UTF-8 text"),
+    (["dyn", "gaps", "--set", "file:no-such-file.txt"],
+     "cannot read window file 'no-such-file.txt'"),
+    (["dyn", "gaps", "--set", "file:subdir"],
+     "cannot read window file 'subdir'"),
+    (["dyn", "gaps", "--set", "subdir"], "cannot read window file 'subdir'"),
+    (["cst", "verify", "--set", "evens:20", "--specs", "const:2",
+      "--spec-horizon", "6", "--witness", "binary.dat"],
+     "witness file 'binary.dat' is not UTF-8 text"),
+])
+def test_unreadable_input_files_exit_one_without_traceback(argv, message,
+                                                           tmp_path):
+    """Missing, directory and non-UTF-8 input files end in the input
+    error, in a fresh process, so an escaping exception would show its
+    traceback."""
+    (tmp_path / "binary.dat").write_bytes(b"\xff\xfe1 3\n")
+    (tmp_path / "subdir").mkdir()
+    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramseykit.cli", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_removed_and_malformed_flags_exit_one(capsys, schur_mat):
+    """`--json` is gone, and `--nontrivial` takes only auto, on or off."""
+    for argv in (["dyn", "gaps", "--set", "evens:10", "--json"],
+                 ["rado", "solve", "--matrix", schur_mat, "--set", "all:13",
+                  "--nontrivial", "yes"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+
+
 def test_budget_verdict_payload(capsys, schur_mat):
     code, out = invoke(capsys, "rado", "empirical", "--matrix", schur_mat,
                        "--colors", "2", "--horizon", "12", "--budget", "3")
@@ -222,3 +266,169 @@ def test_plain_output(capsys):
     code, out = invoke(capsys, "dyn", "gaps", "--set", "evens:10", "--plain")
     assert code == 0
     assert "max_gap=2" in out
+
+
+# Every report byte for byte: criterion 12's twenty commands, then `--plain`,
+# the degenerate matrix, the "absent" and null-field reports and the two
+# budget verdicts.  Criterion 12 only checks that repeated runs agree with
+# each other; these literals pin what they agree on.  Reports echo file
+# paths, so the files are written to the working directory and named
+# relatively.
+GOLDEN_REPORTS = [
+    ('rado check --matrix schur.mat', 0,
+     ('{"certificate":{"blocks":[[1,3],[2]],'
+      '"coefficients":[{"1":"1","3":"0"}]},"degenerate":false,'
+      '"inputs":{"matrix":"schur.mat"},"partition_regular":true,'
+      '"subcommand":"rado check"}\n')),
+    ('rado empirical --matrix schur.mat --colors 2 --horizon 4', 0,
+     ('{"inputs":{"colors":2,"horizon":4,"matrix":"schur.mat"},'
+      '"nontrivial":false,"subcommand":"rado empirical",'
+      '"verdict":"witness","witness":{"color_count":2,"colors":[0,'
+      '1,1,0],"horizon":4}}\n')),
+    ('rado solve --matrix schur.mat --set all:13', 0,
+     ('{"distinct":false,"inputs":{"matrix":"schur.mat",'
+      '"set":"all:13"},"nontrivial":false,"solution":[1,1,2],'
+      '"subcommand":"rado solve"}\n')),
+    ('rado schur-number --colors 2 --max 6', 0,
+     ('{"extremal_witness":{"color_count":2,"colors":[0,1,1,0],'
+      '"horizon":4},"forced_at":5,"inputs":{"colors":2,"max":6},'
+      '"nontrivial":false,"schur_number":4,'
+      '"subcommand":"rado schur-number"}\n')),
+    ('rado vdw-number --colors 2 --length 3 --max 9', 0,
+     ('{"extremal_witness":{"color_count":2,"colors":[0,0,1,1,0,0,1,'
+      '1],"horizon":8},"inputs":{"colors":2,"length":3,"max":9},'
+      '"nontrivial":true,"subcommand":"rado vdw-number",'
+      '"vdw_number":9,"witness_at":8}\n')),
+    ('mpc gen --m 1 --p 1 --c 2 --generators 1,3', 0,
+     ('{"inputs":{"c":2,"generators":"1,3","m":1,"p":1},'
+      '"row_count":4,"subcommand":"mpc gen","values":[2,5,6,7]}\n')),
+    ('mpc verify --set all:25 --m 1 --p 1 --c 1 --generators 1,2', 0,
+     ('{"contained":true,"inputs":{"c":1,"generators":"1,2","m":1,'
+      '"p":1,"set":"all:25"},"subcommand":"mpc verify"}\n')),
+    ('mpc find --set all:25 --m 1 --p 1 --c 1 --bound 25', 0,
+     ('{"generators":[1,2],"inputs":{"bound":25,"c":1,"m":1,"p":1,'
+      '"set":"all:25"},"subcommand":"mpc find"}\n')),
+    ('fs enum --spec geom:1,2 --k 4', 0,
+     ('{"inputs":{"k":4,"spec":"geom:1,2"},"subcommand":"fs enum",'
+      '"window":{"count":15,"horizon":15,"members":[1,2,3,4,5,6,7,'
+      '8,9,10,11,12,13,14,15],"members_omitted":false}}\n')),
+    ('fs divisible --spec const:1 --horizon 6 --modulus 3 --count 2', 0,
+     ('{"alphas":[[1,2,3],[4,5,6]],"inputs":{"count":2,"modulus":3,'
+      '"spec":"const:1"},"subcommand":"fs divisible","terms":[3,'
+      '3]}\n')),
+    ('fs zerosum --values 1,2,3 --modulus 3', 0,
+     ('{"indices":[1,2],"inputs":{"modulus":3,"values":"1,2,3"},'
+      '"subcommand":"fs zerosum","subset_sum":3}\n')),
+    ('dyn orbit --system rot:5/8 --point 0 --target arc:0,1/5 --horizon 16', 0,
+     ('{"boundary_hits":[8,16],"hits":[5,8,13,16],'
+      '"inputs":{"horizon":16,"point":"0","system":"rot:5/8",'
+      '"target":"arc:0,1/5"},"subcommand":"dyn orbit"}\n')),
+    ('dyn product --system-a rot:1/2 --system-b rot:1/3 --point-a 0 '
+     '--point-b 0 --target-a arc:0,1/10 --target-b arc:0,1/10 '
+     '--horizon 12', 0,
+     ('{"boundary_hits":[2,3,4,6,8,9,10,12],"hits":[6,12],'
+      '"inputs":{"horizon":12,"system_a":"rot:1/2",'
+      '"system_b":"rot:1/3"},"subcommand":"dyn product"}\n')),
+    ('dyn density --set odds:100 --window 10', 0,
+     ('{"best_start":1,"count":5,"estimate":"1/2",'
+      '"inputs":{"set":"odds:100","window":10},'
+      '"subcommand":"dyn density","window_length":10}\n')),
+    ('dyn gaps --set evens:100', 0,
+     ('{"inputs":{"set":"evens:100"},"max_gap":2,'
+      '"subcommand":"dyn gaps"}\n')),
+    ('dyn pws --set mod:0,3,99 --shifts 2 --length 30', 0,
+     ('{"best_length":99,"best_start":1,"contains_interval":true,'
+      '"inputs":{"length":30,"set":"mod:0,3,99","shifts":2},'
+      '"subcommand":"dyn pws","witness_start":1}\n')),
+    ('dyn strauss --epsilon 1/2 --horizon 64', 0,
+     ('{"density":"33/64","inputs":{"epsilon":"1/2","horizon":64},'
+      '"subcommand":"dyn strauss","window":{"count":33,'
+      '"horizon":64,"members":[3,5,6,7,10,11,13,14,18,19,21,22,23,'
+      '26,27,29,30,35,37,38,39,42,43,45,46,50,51,53,54,55,58,59,'
+      '61],"members_omitted":false},"witnesses":[[0,4],[1,8],[-1,'
+      '16],[2,32],[-2,64]]}\n')),
+    ('cst search --set evens:200 --specs const:2 --depth 2 --spec-horizon 6', 0,
+     ('{"inputs":{"depth":2,"set":"evens:200","spec_horizon":6,'
+      '"specs":"const:2"},"subcommand":"cst search",'
+      '"verdict":"witness","witness":{"a_values":[2,2],'
+      '"alphas":[[1],[2]],"depth":2,"system_count":1}}\n')),
+    ('cst verify --set evens:200 --specs const:2 --spec-horizon 6 '
+     '--witness wit.json', 0,
+     ('{"accepted":true,"inputs":{"set":"evens:200",'
+      '"specs":"const:2","witness":"wit.json"},'
+      '"subcommand":"cst verify"}\n')),
+    ('cst mpc --set evens:200 --m 0 --p 1 --c 2', 0,
+     ('{"families":[[1]],"generators":[1],"inputs":{"c":2,"m":0,'
+      '"p":1,"set":"evens:200"},"subcommand":"cst mpc",'
+      '"values":[2],"verdict":"found"}\n')),
+    ('dyn gaps --set evens:10 --plain', 0,
+     'inputs={"set": "evens:10"}\nmax_gap=2\nsubcommand="dyn gaps"\n'),
+    ('rado check --matrix zero.mat', 0,
+     ('{"certificate":null,"degenerate":true,'
+      '"inputs":{"matrix":"zero.mat"},'
+      '"note":"zero matrix: trivially satisfied by any assignment",'
+      '"partition_regular":true,"subcommand":"rado check"}\n')),
+    ('rado solve --matrix schur.mat --set odds:99 --nontrivial on --distinct', 0,
+     ('{"distinct":true,"inputs":{"matrix":"schur.mat",'
+      '"set":"odds:99"},"nontrivial":true,"solution":null,'
+      '"subcommand":"rado solve"}\n')),
+    ('rado empirical --matrix schur.mat --colors 2 --horizon 5 --nontrivial off', 0,
+     ('{"inputs":{"colors":2,"horizon":5,"matrix":"schur.mat"},'
+      '"nontrivial":false,"subcommand":"rado empirical",'
+      '"verdict":"forced","witness":null}\n')),
+    ('rado schur-number --colors 1 --max 1', 0,
+     ('{"extremal_witness":{"color_count":1,"colors":[0],'
+      '"horizon":1},"forced_at":null,"inputs":{"colors":1,"max":1},'
+      '"nontrivial":false,"schur_number":null,'
+      '"subcommand":"rado schur-number"}\n')),
+    ('mpc find --set odds:99 --m 1 --p 1 --c 1 --bound 40', 0,
+     ('{"generators":null,"inputs":{"bound":40,"c":1,"m":1,"p":1,'
+      '"set":"odds:99"},"subcommand":"mpc find"}\n')),
+    ('cst search --set odds:999 --specs const:1 --depth 2 --spec-horizon 6', 0,
+     ('{"inputs":{"depth":2,"set":"odds:999","spec_horizon":6,'
+      '"specs":"const:1"},"subcommand":"cst search",'
+      '"verdict":"absent","witness":null}\n')),
+    ('cst mpc --set odds:99 --m 0 --p 1 --c 2', 0,
+     ('{"families":null,"generators":null,"inputs":{"c":2,"m":0,'
+      '"p":1,"set":"odds:99"},"subcommand":"cst mpc","values":null,'
+      '"verdict":"absent"}\n')),
+    ('fs zerosum --values 1,1 --modulus 3', 0,
+     ('{"indices":null,"inputs":{"modulus":3,"values":"1,1"},'
+      '"subcommand":"fs zerosum","subset_sum":null}\n')),
+    ('cst search --set odds:300 --specs const:1 --depth 2 '
+     '--spec-horizon 6 --budget 50', 2,
+     ('{"detail":"2^6 candidate index sets per level is over budget",'
+      '"verdict":"budget-exceeded"}\n')),
+    ('rado empirical --matrix schur.mat --colors 2 --horizon 12 --budget 3', 2,
+     ('{"detail":"coloring search exceeded 3 nodes",'
+      '"verdict":"budget-exceeded"}\n')),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN_REPORTS,
+                         ids=[argv for argv, _, _ in GOLDEN_REPORTS])
+def test_reports_are_pinned_byte_for_byte(argv, code, stdout, capsys,
+                                          tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "schur.mat").write_text("1 3\n1 1 -1\n")
+    (tmp_path / "zero.mat").write_text("1 2\n0 0\n")
+    (tmp_path / "wit.json").write_text(
+        '{"a_values": [2, 2], "alphas": [[1], [2]], "depth": 2, '
+        '"system_count": 1}')
+    assert run(argv.split()) == code
+    assert capsys.readouterr().out == stdout
+
+
+def test_readme_command_lines_parse():
+    """Every `ramseykit ...` line of README's command-line block, with its
+    backslash continuations joined, is accepted by the parser."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.startswith("ramseykit ")]
+    assert len(lines) >= 20
+    parser = _build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.handler is not None, line

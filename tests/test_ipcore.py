@@ -9,6 +9,7 @@ from ramseykit.ipcore import (
     IPSystemSpec,
     alpha_less,
     find_divisible_subsequence,
+    finite_sums,
     fs_enumerate,
     ip_term,
     zero_sum_mod,
@@ -73,6 +74,18 @@ def test_fs_enumerate_matches_brute_force():
         terms = [rng.randint(1, 30) for _ in range(k)]
         window = fs_enumerate(IPSystemSpec.from_terms(terms), k)
         assert set(window.members) == brute_finite_sums(terms, k)
+
+
+def test_finite_sums_of_signed_terms_match_brute_force():
+    """The verifier's terms may be zero or negative, so a sum of 0 is a
+    member like any other, not an empty-subset marker."""
+    assert finite_sums([]) == set()
+    assert finite_sums([2, -2]) == {2, -2, 0}
+    rng = random.Random(7)
+    for _ in range(20):
+        k = rng.randint(1, 8)
+        terms = [rng.randint(-20, 20) for _ in range(k)]
+        assert finite_sums(terms) == brute_finite_sums(terms, k)
 
 
 def test_fs_enumerate_caps():

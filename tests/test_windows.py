@@ -64,6 +64,18 @@ def test_file_round_trip(tmp_path):
     assert SetWindow.from_expression(str(path)) == w
 
 
+def test_unreadable_window_file_is_an_input_error(tmp_path):
+    for path in (tmp_path / "no-such.txt", tmp_path):
+        with pytest.raises(InputError, match="cannot read window file"):
+            SetWindow.from_file(str(path))
+    binary = tmp_path / "s.bin"
+    binary.write_bytes(b"\xff\xfe20\n")
+    with pytest.raises(InputError, match="not UTF-8 text"):
+        SetWindow.from_file(str(binary))
+    with pytest.raises(InputError, match="cannot read window file"):
+        SetWindow.from_expression(f"file:{tmp_path / 'no-such.txt'}")
+
+
 def test_expressions():
     assert SetWindow.from_expression("all:5") == SetWindow.full(5)
     assert SetWindow.from_expression("odds:9") == SetWindow.odds(9)
