@@ -160,11 +160,11 @@ def cst_search(
     def candidates(low: int) -> tuple:
         """(count, reach, distinct) over the nonempty subsets of
         (low, horizon] in binary-counting order: count of them all, the
-        largest a the budget can reach at this level, and (position, index
-        tuple, max index, per-spec sums) for the first subset of each
-        (max index, sums) pair.  A later subset with the same pair would
-        reach the same memo key for every a, so it can only be a dead
-        state once the first has been tried."""
+        largest a the budget can reach at this level, and (position, mask,
+        max index, per-spec sums) for the first subset of each (max index,
+        sums) pair, bit b of the mask being index low + b + 1.  A later
+        subset with the same pair would reach the same memo key for every a,
+        so it can only be a dead state once the first has been tried."""
         got = cand_cache.get(low)
         if got is not None:
             return got
@@ -175,20 +175,15 @@ def cst_search(
             )
         count = 1 << width
         sums = [[0] * count for _ in range(p)]
-        sets: list = [None] * count
-        sets[0] = ()
         distinct = {}
         for mask in range(1, count):
             lsb = mask & -mask
-            bit = lsb.bit_length() - 1
             rest = mask ^ lsb
-            idx = low + bit + 1
-            # rest holds the higher bits, so prepend to stay ascending
-            sets[mask] = (idx,) + sets[rest]
+            idx = low + lsb.bit_length()
             for i in range(p):
                 sums[i][mask] = sums[i][rest] + specs[i].terms[idx - 1]
-            key = (sets[mask][-1], tuple(sums[i][mask] for i in range(p)))
-            distinct.setdefault(key, (mask - 1, sets[mask]) + key)
+            key = (low + mask.bit_length(), tuple(sums[i][mask] for i in range(p)))
+            distinct.setdefault(key, (mask - 1, mask) + key)
         # an a beyond reach starts at position (a - 1) * (count - 1) + 1,
         # already over budget, so the bit ranges stay small however large
         # a_hi is
@@ -254,14 +249,14 @@ def cst_search(
         count, reach, distinct = candidates(low)
         last = level + 1 == depth
         seen = 0  # positions of this level charged so far
-        for a, (j, alpha, amax, svec) in scan(reach, distinct, admissible, last):
+        for a, (j, bits, amax, svec) in scan(reach, distinct, admissible, last):
             # every position up to this one counts as scanned: the failing,
             # duplicate and dead-end ones are charged here without a visit
             pos = (a - 1) * count + j + 1
             charge(pos - seen)
             seen = pos
             if last:
-                return chosen + [(a, alpha)]
+                return chosen + [(a, low, bits)]
             terms = [a + s for s in svec]
             merged = tuple(
                 sums | (1 << u) | (sums << u)
@@ -271,7 +266,7 @@ def cst_search(
             if key in dead:
                 continue
             nxt = [b & (b >> u) for b, u in zip(admissible, terms)]
-            found = extend(level + 1, amax, merged, nxt, chosen + [(a, alpha)])
+            found = extend(level + 1, amax, merged, nxt, chosen + [(a, low, bits)])
             if found is not None:
                 return found
             dead.add(key)
@@ -283,8 +278,10 @@ def cst_search(
         return None
     return CstWitness(
         depth,
-        tuple(a for a, _ in found),
-        tuple(FiniteIndexSet(alpha) for _, alpha in found),
+        tuple(a for a, _, _ in found),
+        tuple(FiniteIndexSet(tuple(
+            low + b + 1 for b in range(bits.bit_length()) if bits >> b & 1))
+            for _, low, bits in found),
         p,
     )
 

@@ -84,34 +84,33 @@ def contains_mpc(
     """Lexicographically least generating tuple with generators <= bound
     whose whole expansion lies in the window, or None.
 
-    Depth-first over s_0, s_1, ... ascending; level k is pruned as soon as
-    one of its rows (which only involve s_0..s_k) leaves the window, and
-    tuples whose rows dip below 1 are skipped rather than clipped.
+    Depth-first over s_0, s_1, ... ascending.  Level k's rows are c*s_k
+    plus the offsets {i_0*s_0 + ... + i_{k-1}*s_{k-1} : |i_j| <= p}; the
+    window mask ANDed with itself shifted by each offset t keeps bit n iff
+    every n + t is a member, so its bits at multiples of c are every
+    admissible s_k at once (0 is an offset, so they lie in the window).
     """
     if bound < 1:
         raise InputError("generator bound must be >= 1")
-    members = window.member_set
-    coeffs = range(-params.p, params.p + 1)
+    members = window.mask
+    steps = range(-params.p, params.p + 1)
 
-    def level_ok(gens: list[int], k: int) -> bool:
-        lead = params.c * gens[k]
-        for pattern in product(coeffs, repeat=k):
-            value = lead + sum(i * s for i, s in zip(pattern, gens))
-            if value < 1 or value not in members:
-                return False
-        return True
-
-    def descend(gens: list[int]) -> Optional[tuple[int, ...]]:
-        k = len(gens)
-        if k == params.m + 1:
+    def descend(gens: list[int], offsets: set) -> Optional[tuple[int, ...]]:
+        if len(gens) == params.m + 1:
             return tuple(gens)
-        for s in range(1, bound + 1):
-            gens.append(s)
-            if level_ok(gens, k):
-                found = descend(gens)
+        ok = members
+        for t in offsets:
+            ok &= members >> t if t >= 0 else members << -t
+        while ok:
+            low = ok & -ok
+            ok ^= low
+            s, rest = divmod(low.bit_length() - 1, params.c)
+            if s > bound:
+                return None
+            if not rest:
+                found = descend(gens + [s], {t + i * s for t in offsets for i in steps})
                 if found is not None:
                     return found
-            gens.pop()
         return None
 
-    return descend([])
+    return descend([], {0})

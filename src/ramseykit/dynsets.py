@@ -246,24 +246,20 @@ def piecewise_syndetic_window(
     achievable interval when the answer is no."""
     if shifts < 0 or length < 1:
         raise InputError("need shifts >= 0 and length >= 1")
-    union = set()
-    for i in range(shifts + 1):
-        for v in window.members:
-            if v - i >= 1:
-                union.add(v - i)
+    covered = 0
+    for i in range(min(shifts, window.horizon) + 1):  # later shifts add nothing
+        covered |= window.mask >> i
+    bits = bin(covered)[:1:-1] + "0"  # character n is the integer n
     best_len, best_start = 0, None
     witness = None
-    run_start = None
-    prev = None
-    for v in sorted(union):
-        if prev is None or v != prev + 1:
-            run_start = v
-        prev = v
-        run_len = v - run_start + 1
+    start = bits.find("1", 1)
+    while start != -1:
+        run_len = bits.find("0", start) - start
         if run_len > best_len:
-            best_len, best_start = run_len, run_start
+            best_len, best_start = run_len, start
         if witness is None and run_len >= length:
-            witness = run_start
+            witness = start
+        start = bits.find("1", start + run_len)
     return PiecewiseSyndeticReport(witness is not None, witness, best_len, best_start)
 
 

@@ -254,7 +254,8 @@ def zero_sum_mod(xs: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
 
     With len(xs) >= n the consecutive block found by the first repeated
     (or zero) prefix sum mod n always exists.  Shorter inputs fall back to
-    exhaustive subset search; None means no subset works.
+    exhaustive subset search, which gives up after 2^FS_PREFIX_CAP subsets;
+    None means no subset works.
     """
     if n < 1:
         raise InputError("modulus must be >= 1")
@@ -269,9 +270,15 @@ def zero_sum_mod(xs: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
         if r in seen:
             return tuple(range(seen[r] + 1, j + 1))
         seen[r] = j
-    # only reachable when len(vals) < n: go exhaustive
+    # only reachable when len(vals) < n; every subset sum lies in [1, acc]
+    if acc < n:
+        return None
+    tried = 0
     for size in range(1, len(vals) + 1):
         for combo in combinations(range(1, len(vals) + 1), size):
             if sum(vals[i - 1] for i in combo) % n == 0:
                 return combo
+            tried += 1
+            if tried == 1 << FS_PREFIX_CAP:
+                raise BudgetExceededError(f"zero-sum search tried 2^{FS_PREFIX_CAP} subsets")
     return None

@@ -249,6 +249,13 @@ def test_budget_verdict_payload(capsys, schur_mat):
                        "--colors", "2", "--horizon", "12", "--budget", "3")
     assert code == 2
     assert json.loads(out)["verdict"] == "budget-exceeded"
+    # 2^24 - 1 subsets, none with a sum divisible by 10^6: the exhaustive
+    # zero-sum search gives up after 2^20 of them
+    code, out = invoke(capsys, "fs", "zerosum", "--values",
+                       ",".join(["1000001"] * 24), "--modulus", "1000000")
+    assert code == 2
+    assert json.loads(out) == {"detail": "zero-sum search tried 2^20 subsets",
+                               "verdict": "budget-exceeded"}
 
 
 def test_threads_flag_does_not_change_output(capsys, schur_mat):

@@ -98,18 +98,20 @@ def test_contains_examples():
     assert contains_mpc(w, MpcParams(1, 1, 2), 10) == (1, 3)
     assert contains_mpc(SetWindow.full(25), MpcParams(1, 1, 1), 25) == (1, 2)
     assert contains_mpc(SetWindow.odds(99), MpcParams(1, 1, 1), 99) is None
+    # c = 2 puts every row on an even number; the bound is never walked
+    assert contains_mpc(SetWindow.odds(99), MpcParams(0, 1, 2), 10**12) is None
 
 
 def test_contains_is_lexicographically_least():
     """Cross-check against exhaustive tuple enumeration on small windows."""
     rng = random.Random(13)
-    for _ in range(15):
-        members = {rng.randint(1, 30) for _ in range(rng.randint(5, 20))}
+    for _ in range(60):
+        members = {rng.randint(1, 30) for _ in range(rng.randint(5, 28))}
         window = SetWindow.from_members(30, members)
-        params = MpcParams(1, 1, rng.randint(1, 2))
+        params = MpcParams(rng.randint(0, 2), rng.randint(1, 2), rng.randint(1, 3))
         bound = 12
         expected = None
-        for gens in product(range(1, bound + 1), repeat=2):
+        for gens in product(range(1, bound + 1), repeat=params.m + 1):
             vals = brute_values(params.m, params.p, params.c, gens)
             if min(vals) >= 1 and vals <= members:
                 expected = gens

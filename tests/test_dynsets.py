@@ -6,6 +6,7 @@ import textwrap
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ramseykit
 from ramseykit.dynsets import (
@@ -180,6 +181,28 @@ def test_piecewise_syndetic_examples():
     rep = piecewise_syndetic_window(squares, 3, 20)
     assert not rep.contains_interval
     assert rep.best_length == 4  # 1..4 via the squares 1 and 4
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sets(st.integers(1, 60)), st.integers(0, 70), st.integers(1, 12))
+def test_piecewise_syndetic_matches_brute_force(members, shifts, length):
+    """Recount S u (S-1) u ... u (S-k) inside [1..60] element by element and
+    read its runs of consecutive integers off directly."""
+    window = SetWindow.from_members(60, members)
+    covered = {v - i for v in members for i in range(shifts + 1) if v - i >= 1}
+    runs = []  # (start, length), left to right
+    for n in sorted(covered):
+        if n - 1 in covered:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((n, 1))
+    best_len = max((size for _, size in runs), default=0)
+    best_start = next((start for start, size in runs if size == best_len), None)
+    witness = next((start for start, size in runs if size >= length), None)
+    rep = piecewise_syndetic_window(window, shifts, length)
+    assert rep.contains_interval == (witness is not None)
+    assert (rep.witness_start, rep.best_length, rep.best_start) == (
+        witness, best_len, best_start)
 
 
 # --- the near-full-density construction --------------------------------------

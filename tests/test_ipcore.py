@@ -139,6 +139,8 @@ def test_zero_sum_short_inputs():
     assert zero_sum_mod([1, 1], 5) is None
     assert zero_sum_mod([2, 3], 5) == (1, 2)
     assert zero_sum_mod([7], 14) is None
+    # every subset sum lies in [1, 465], so no search is needed
+    assert zero_sum_mod(list(range(1, 31)), 10**6) is None
 
 
 def test_zero_sum_random_guarantee():
