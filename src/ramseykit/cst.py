@@ -20,7 +20,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .deuber import MpcParams, MpcSystem, generate_mpc, verify_mpc
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, json_int
 from .ipcore import (
     FiniteIndexSet,
     IPSystemSpec,
@@ -62,10 +62,11 @@ class CstWitness:
     def from_json_dict(cls, data: dict) -> "CstWitness":
         try:
             return cls(
-                int(data["depth"]),
-                tuple(int(v) for v in data["a_values"]),
-                tuple(FiniteIndexSet.from_iterable(a) for a in data["alphas"]),
-                int(data["system_count"]),
+                json_int(data["depth"]),
+                tuple(map(json_int, data["a_values"])),
+                tuple(FiniteIndexSet.from_iterable(map(json_int, a))
+                      for a in data["alphas"]),
+                json_int(data["system_count"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad witness payload: {exc}") from exc

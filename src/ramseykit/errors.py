@@ -1,4 +1,5 @@
-"""Shared exception types, and the one reader of input text files."""
+"""Shared exception types, the one reader of input text files, and the
+integer check for JSON payloads."""
 
 
 class InputError(ValueError):
@@ -41,3 +42,11 @@ def read_text(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} {path!r} is not UTF-8 text") from exc
+
+
+def json_int(value) -> int:
+    """`value` when it is a JSON integer.  A float, bool or string is an
+    InputError, so a payload is never rounded or coerced into a number."""
+    if type(value) is not int:
+        raise InputError(f"expected an integer, got {value!r}")
+    return value

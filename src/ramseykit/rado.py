@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
+from math import lcm
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError, DegenerateMatrixError, InputError
+from .errors import (BudgetExceededError, DegenerateMatrixError, InputError,
+                     json_int)
 from .exactq import RationalMatrix, in_column_span, reduced_row_echelon
 from .windows import SetWindow
 
@@ -58,12 +60,12 @@ class ColumnsCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ColumnsCertificate":
         try:
-            blocks = tuple(tuple(int(j) for j in b) for b in data["blocks"])
-            coefficients = tuple(
-                {int(j): Fraction(c) for j, c in m.items()}
-                for m in data["coefficients"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            blocks = tuple(tuple(map(json_int, b)) for b in data["blocks"])
+            coefficients = tuple(  # a coefficient is an integer or a "p/q" string
+                {int(j): Fraction(c if type(c) is str else json_int(c))
+                 for j, c in m.items()} for m in data["coefficients"])
+        except (AttributeError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
             raise InputError(f"bad certificate payload: {exc}") from exc
         return cls(blocks, coefficients)
 
@@ -147,16 +149,23 @@ def _column_sum(cols, indices, height) -> tuple[Fraction, ...]:
     return tuple(acc)
 
 
+def _blocks(indices):
+    """Nonempty subsets of `indices`, by size, then lexicographically."""
+    return chain.from_iterable(
+        combinations(indices, size) for size in range(1, len(indices) + 1))
+
+
 def columns_condition(matrix: RationalMatrix) -> Optional[ColumnsCertificate]:
     """Decide partition regularity; return the first certificate found.
 
     Search order: candidate I_1 runs over column subsets by increasing
     size then lexicographically and must have exact zero column sum; the
     leftover columns are absorbed block by block, each candidate block
-    tested for membership of its column sum in the span of everything
-    placed earlier.  Dead remainder sets are memoized, so the whole search
-    stays polynomial-ish on desk-scale matrices.  Certificates are not
-    unique; this fixed order makes the output reproducible.
+    (same order) tested for membership of its column sum in the span of
+    everything placed earlier.  Depth-first with an explicit stack, one
+    frame per placed block.  Dead remainder sets are memoized, so the whole
+    search stays polynomial-ish on desk-scale matrices.  Certificates are
+    not unique; this fixed order makes the output reproducible.
     """
     if not matrix.is_integer():
         raise InputError("columns condition applies to integer matrices")
@@ -168,43 +177,33 @@ def columns_condition(matrix: RationalMatrix) -> Optional[ColumnsCertificate]:
     cols = [matrix.column(j) for j in range(q)]
     zero = tuple([Fraction(0)] * matrix.rows)
     dead: set[frozenset] = set()
-
-    def absorb(used: tuple[int, ...], remaining: tuple[int, ...]):
+    # frames: (columns left, (block, coefficients) placed last, next blocks)
+    stack = [(tuple(range(q)), None, _blocks(range(q)))]
+    while stack:
+        remaining, _, blocks = stack[-1]
         if not remaining:
-            return []
-        key = frozenset(remaining)
-        if key in dead:
-            return None
-        for size in range(1, len(remaining) + 1):
-            for block in combinations(remaining, size):
-                target = _column_sum(cols, block, matrix.rows)
+            placed = [step for _, step, _ in stack[1:]]
+            return ColumnsCertificate(
+                tuple(tuple(j + 1 for j in block) for block, _ in placed),
+                tuple({j + 1: c for j, c in coeff.items()}
+                      for _, coeff in placed[1:]))
+        if frozenset(remaining) in dead:
+            stack.pop()
+            continue
+        used = tuple(j for j in range(q) if j not in remaining)
+        for block in blocks:
+            target = _column_sum(cols, block, matrix.rows)
+            if not used:
+                coeff = {} if target == zero else None
+            else:
                 coeff = in_column_span(matrix, used, target)
-                if coeff is None:
-                    continue
-                taken = set(block)
-                rest = tuple(j for j in remaining if j not in taken)
-                tail = absorb(tuple(sorted(used + block)), rest)
-                if tail is not None:
-                    return [(block, coeff)] + tail
-        dead.add(key)
-        return None
-
-    indices = tuple(range(q))
-    for size in range(1, q + 1):
-        for first in combinations(indices, size):
-            if _column_sum(cols, first, matrix.rows) != zero:
-                continue
-            chosen = set(first)
-            rest = tuple(j for j in indices if j not in chosen)
-            tail = absorb(first, rest)
-            if tail is None:
-                continue
-            blocks = [tuple(j + 1 for j in first)]
-            coefficients = []
-            for block, coeff in tail:
-                blocks.append(tuple(j + 1 for j in block))
-                coefficients.append({j + 1: c for j, c in coeff.items()})
-            return ColumnsCertificate(tuple(blocks), tuple(coefficients))
+            if coeff is not None:
+                rest = tuple(j for j in remaining if j not in block)
+                stack.append((rest, (block, coeff), _blocks(rest)))
+                break
+        else:
+            dead.add(frozenset(remaining))
+            stack.pop()
     return None
 
 
@@ -278,7 +277,8 @@ def enumerate_solutions(
 
     The rational kernel is parametrized by the free columns of the RREF;
     free coordinates run over the window, pivot coordinates are forced and
-    checked for integrality and membership.  Exact throughout.
+    checked for integrality and membership.  Each pivot row is scaled by
+    the lcm of its denominators, so the arithmetic is exact on integers.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
@@ -288,47 +288,30 @@ def enumerate_solutions(
     frees = [c for c in range(q) if c not in pivot_set]
     if not frees:
         return []  # trivial kernel: no positive solutions
-    domain = list(members) if members is not None else list(range(1, horizon + 1))
+    domain = list(members) if members is not None else range(1, horizon + 1)
     allowed = set(domain)
+    pivot_rows = []  # (pivot column, scale, [(index into frees, -scale * entry)])
+    for r, pcol in enumerate(pivots):
+        row = rref[r]
+        scale = lcm(*(row[f].denominator for f in frees))
+        pivot_rows.append((pcol, scale, [(i, int(-row[f] * scale))
+                                         for i, f in enumerate(frees) if row[f]]))
     sols: list[tuple[int, ...]] = []
-    assign: dict[int, int] = {}
-
-    def close() -> Optional[tuple[int, ...]]:
-        x: list[Optional[int]] = [None] * q
-        for f in frees:
-            x[f] = assign[f]
-        for r, pcol in enumerate(pivots):
-            row = rref[r]
-            acc = Fraction(0)
-            for f in frees:
-                if row[f]:
-                    acc -= row[f] * assign[f]
-            if acc.denominator != 1:
-                return None
-            v = int(acc)
-            if v < 1 or v > horizon or v not in allowed:
-                return None
+    x = [0] * q
+    for free_values in product(domain, repeat=len(frees)):
+        for pcol, scale, terms in pivot_rows:
+            v, rem = divmod(sum(a * free_values[i] for i, a in terms), scale)
+            if rem or v < 1 or v > horizon or v not in allowed:
+                break
             x[pcol] = v
-        return tuple(x)  # type: ignore[arg-type]
-
-    def rec(idx: int):
-        if idx == len(frees):
-            x = close()
-            if x is None:
-                return
+        else:
+            for f, v in zip(frees, free_values):
+                x[f] = v
             if nontrivial and len(set(x)) == 1:
-                return
+                continue
             if distinct and len(set(x)) != q:
-                return
-            sols.append(x)
-            return
-        col = frees[idx]
-        for v in domain:
-            assign[col] = v
-            rec(idx + 1)
-        del assign[col]
-
-    rec(0)
+                continue
+            sols.append(tuple(x))
     return sols
 
 
@@ -344,13 +327,8 @@ def solve_in_cell(
         return None
     if nontrivial is None:
         nontrivial = default_nontrivial(matrix)
-    sols = enumerate_solutions(
-        matrix,
-        window.horizon,
-        members=window.members,
-        nontrivial=nontrivial,
-        distinct=distinct,
-    )
+    sols = enumerate_solutions(matrix, window.horizon, members=window.members,
+                               nontrivial=nontrivial, distinct=distinct)
     if not sols:
         return None
     best = min(sols)
@@ -358,6 +336,49 @@ def solve_in_cell(
     assert all(v == 0 for v in matrix.mul_vector(best))
     assert all(v in window.member_set for v in best)
     return SolutionVector(best)
+
+
+def _coloring_search(level, colors: int, horizon: int, budget: int) -> list[int]:
+    """Lexicographically least coloring of the longest solution-free
+    prefix [1..n], n <= horizon, with color(1) pinned to 0.
+
+    Depth-first with an explicit cursor: depth n tries color c next.
+    level(n), asked once when the search first reaches n, gives the
+    solutions whose largest entry is n; n may not take color c when all
+    the other entries of one of them have color c.  Every tried color
+    counts one node against the budget.  The record prefix is copied only
+    when the search backtracks into the record depth.
+    """
+    coloring = [0] * (horizon + 1)  # coloring[k] is the color of k
+    levels: list = [()]  # levels[n]: each solution's entries other than n
+    record: list[int] = []
+    deepest = ticks = 0
+    n, c = 1, 0
+    while 0 < n <= horizon:
+        if c == (1 if n == 1 else colors):  # every color failed: backtrack
+            n -= 1
+            if n == deepest > len(record):
+                record = coloring[1:n + 1]
+            c = coloring[n] + 1
+            continue
+        ticks += 1
+        if ticks > budget:
+            raise BudgetExceededError(f"coloring search exceeded {budget} nodes")
+        if n == len(levels):
+            levels.append({tuple(sorted(set(s) - {n})) for s in level(n)})
+        for entries in levels[n]:
+            for v in entries:
+                if coloring[v] != c:
+                    break
+            else:
+                break  # n would complete a monochromatic solution
+        else:
+            coloring[n] = c
+            deepest = max(deepest, n)
+            n, c = n + 1, 0
+            continue
+        c += 1
+    return coloring[1:] if n else record
 
 
 def empirical_pr(
@@ -376,40 +397,13 @@ def empirical_pr(
         raise InputError("need at least one color")
     if nontrivial is None:
         nontrivial = default_nontrivial(matrix)
-    sols = enumerate_solutions(
-        matrix, horizon, nontrivial=nontrivial, distinct=distinct
-    )
     by_max: list[list[tuple[int, ...]]] = [[] for _ in range(horizon + 1)]
-    for sol in sols:
+    for sol in enumerate_solutions(matrix, horizon, nontrivial=nontrivial,
+                                   distinct=distinct):
         by_max[max(sol)].append(sol)
-    coloring = [0] * (horizon + 1)
-    ticks = 0
-
-    def mono_at(n: int) -> bool:
-        for sol in by_max[n]:
-            first = coloring[sol[0]]
-            if all(coloring[v] == first for v in sol[1:]):
-                return True
-        return False
-
-    def dfs(n: int) -> bool:
-        nonlocal ticks
-        if n > horizon:
-            return True
-        choices = (0,) if n == 1 else range(colors)
-        for c in choices:
-            ticks += 1
-            if ticks > budget:
-                raise BudgetExceededError(
-                    f"coloring search exceeded {budget} nodes"
-                )
-            coloring[n] = c
-            if not mono_at(n) and dfs(n + 1):
-                return True
-        return False
-
-    if dfs(1):
-        witness = Coloring(horizon, colors, tuple(coloring[1:]))
+    prefix = _coloring_search(by_max.__getitem__, colors, horizon, budget)
+    if len(prefix) == horizon:
+        witness = Coloring(horizon, colors, tuple(prefix))
         return EmpiricalResult("witness", witness, nontrivial)
     return EmpiricalResult("forced", None, nontrivial)
 
@@ -421,17 +415,20 @@ def forcing_number(
     nontrivial: Optional[bool] = None,
     budget: int = DEFAULT_COLORING_BUDGET,
 ) -> ForcingReport:
-    """Sweep N upward until every r-coloring of [1..N] is forced; also
-    keep the witness at the last unforced N."""
+    """Least N <= max_horizon at which every r-coloring of [1..N] is
+    forced, with the witness at N - 1.  One search runs at max_horizon;
+    the search at each smaller N would visit a prefix of its nodes, so the
+    budget binds exactly as on a sweep of per-N searches."""
     if nontrivial is None:
         nontrivial = default_nontrivial(matrix)
-    last: Optional[Coloring] = None
-    for n in range(1, max_horizon + 1):
-        res = empirical_pr(matrix, colors, n, nontrivial=nontrivial, budget=budget)
-        if res.verdict == "forced":
-            return ForcingReport(colors, nontrivial, n, last)
-        last = res.witness
-    return ForcingReport(colors, nontrivial, None, last)
+    if colors < 1 and max_horizon > 0:
+        raise InputError("need at least one color")
+    prefix = _coloring_search(
+        lambda n: [s for s in enumerate_solutions(matrix, n, nontrivial=nontrivial)
+                   if max(s) == n], colors, max_horizon, budget)
+    witness = Coloring(len(prefix), colors, tuple(prefix)) if prefix else None
+    forced_at = len(prefix) + 1 if len(prefix) < max_horizon else None
+    return ForcingReport(colors, nontrivial, forced_at, witness)
 
 
 def schur_matrix() -> RationalMatrix:

@@ -32,6 +32,17 @@ def report(capsys, *argv):
     return json.loads(out)
 
 
+def fresh_run(cwd, *argv):
+    """The CLI in a new interpreter, so an escaping exception would show
+    its traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "ramseykit.cli", *argv],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_rado_check_emits_verifiable_certificate(capsys, schur_mat):
     rep = report(capsys, "rado", "check", "--matrix", schur_mat)
     assert rep["partition_regular"] is True
@@ -146,6 +157,32 @@ def test_cst_search_verify_round_trip(capsys, tmp_path):
     assert rep3["accepted"] is False
 
 
+@pytest.mark.parametrize("a_value", ["1.5", "true", "Infinity", "1e400"])
+def test_cst_verify_rejects_non_integer_payload(a_value, tmp_path):
+    """The witness {a: 1, alpha: {1}} is accepted on all:50 with const:1;
+    a float, bool or infinite a-value in its place is bad input (exit 1)."""
+    (tmp_path / "wit.json").write_text(
+        '{"depth": 1, "a_values": [%s], "alphas": [[1]], "system_count": 1}'
+        % a_value)
+    proc = fresh_run(tmp_path, "cst", "verify", "--set", "all:50", "--specs",
+                     "const:1", "--spec-horizon", "3", "--witness", "wit.json")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "bad witness payload: expected an integer" in proc.stderr
+
+
+def test_rado_empirical_deep_horizon_exits_zero(tmp_path):
+    """x + y = 0 at horizon 1500, in a fresh process: the search goes 1500
+    levels deep, past the default recursion limit, and still exits 0."""
+    (tmp_path / "sum.mat").write_text("1 2\n1 1\n")
+    proc = fresh_run(tmp_path, "rado", "empirical", "--matrix", "sum.mat",
+                     "--colors", "2", "--horizon", "1500")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "witness"
+
+
 def test_cst_search_absent_and_mpc(capsys):
     rep = report(capsys, "cst", "search", "--set", "odds:999",
                  "--specs", "const:1", "--depth", "2", "--spec-horizon", "6")
@@ -188,14 +225,8 @@ def test_malformed_target_exits_one_without_output(capsys):
 def test_unreadable_shift_file_exits_one_without_traceback(name, tmp_path):
     """A missing file and a directory both end in the input error, in a
     fresh process, so an escaping exception would show its traceback."""
-    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramseykit.cli", "dyn", "orbit",
-         "--system", f"shift:file={name}", "--point", "0",
-         "--target", "cyl:01", "--horizon", "5"],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = fresh_run(tmp_path, "dyn", "orbit", "--system", f"shift:file={name}",
+                     "--point", "0", "--target", "cyl:01", "--horizon", "5")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -221,12 +252,7 @@ def test_unreadable_input_files_exit_one_without_traceback(argv, message,
     traceback."""
     (tmp_path / "binary.dat").write_bytes(b"\xff\xfe1 3\n")
     (tmp_path / "subdir").mkdir()
-    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramseykit.cli", *argv],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = fresh_run(tmp_path, *argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

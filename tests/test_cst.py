@@ -287,6 +287,20 @@ def test_witness_json_round_trip():
         CstWitness.from_json_dict({"depth": 1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a_values", [1.5]), ("a_values", [True]), ("a_values", [float("inf")]),
+    ("a_values", [1e300]), ("alphas", [[True]]), ("depth", True),
+    ("system_count", "1"),
+])
+def test_witness_payload_takes_only_json_integers(field, value):
+    """Floats, bools and strings are input errors: 1.5 is not read as the
+    valid a-value 1, and infinity is no OverflowError."""
+    data = {"depth": 1, "a_values": [1], "alphas": [[1]], "system_count": 1}
+    data[field] = value
+    with pytest.raises(InputError, match="bad witness payload"):
+        CstWitness.from_json_dict(data)
+
+
 # --- tower pipeline -----------------------------------------------------------
 
 def test_tower_from_full_window():

@@ -9,7 +9,7 @@ from ramseykit.errors import (
     DegenerateMatrixError,
     InputError,
 )
-from ramseykit.exactq import RationalMatrix
+from ramseykit.exactq import RationalMatrix, reduced_row_echelon
 from ramseykit.rado import (
     Coloring,
     ColumnsCertificate,
@@ -17,6 +17,7 @@ from ramseykit.rado import (
     default_nontrivial,
     empirical_pr,
     enumerate_solutions,
+    forcing_number,
     schur_number,
     single_equation_pr,
     solve_in_cell,
@@ -178,17 +179,29 @@ def test_single_equation_agrees_with_columns_condition():
 # --- solution enumeration and solve_in_cell --------------------------------
 
 def test_enumeration_matches_naive_oracle():
+    """1x2, 1x3 and 2x4 matrices, the whole of [1..n] and a subset of it;
+    most 2x4 reductions have fractional rows, which must stay exact."""
     rng = random.Random(9)
-    for _ in range(30):
-        cols = rng.randint(2, 3)
+    fractional = 0
+    for _ in range(60):
+        rows, cols = rng.choice([(1, 2), (1, 3), (2, 4)])
         m = RationalMatrix.from_rows(
-            [[rng.choice([v for v in range(-3, 4) if v]) for _ in range(cols)]]
+            [[rng.choice([v for v in range(-3, 4) if v]) for _ in range(cols)]
+             for _ in range(rows)]
         )
+        rref, _ = reduced_row_echelon(m)
+        fractional += any(v.denominator != 1 for row in rref for v in row)
         n = rng.randint(1, 8)
+        members = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
         for flag in (False, True):
+            expected = naive_solutions(m, n, nontrivial=flag)
             assert sorted(enumerate_solutions(m, n, nontrivial=flag)) == sorted(
-                naive_solutions(m, n, nontrivial=flag)
+                expected
             )
+            assert sorted(
+                enumerate_solutions(m, n, members=members, nontrivial=flag)
+            ) == sorted(x for x in expected if set(x) <= set(members))
+    assert fractional >= 5
 
 
 def test_solve_in_cell_examples():
@@ -274,6 +287,64 @@ def test_forcing_sweeps():
     assert vdw.extremal_witness.cells() == [(1, 2, 5, 6), (3, 4, 7, 8)]
 
 
+def test_forcing_number_matches_naive_sweep():
+    """The first forced n of the naive oracle, and its witness at n - 1;
+    a max_horizon below the forcing number gives None and the witness at
+    max_horizon."""
+    rng = random.Random(21)
+    forced_seen = 0
+    for _ in range(25):
+        m = RationalMatrix.from_rows(
+            [[rng.choice([v for v in range(-3, 4) if v]) for _ in range(3)]]
+        )
+        flag = bool(rng.getrandbits(1))
+        witnesses = {n: naive_forced(m, 2, n, nontrivial=flag) for n in range(1, 9)}
+        forced_at = next((n for n in range(1, 9) if witnesses[n] is None), None)
+        report = forcing_number(m, 2, 8, nontrivial=flag)
+        assert report.forced_at == forced_at
+        last = 8 if forced_at is None else forced_at - 1
+        got = report.extremal_witness
+        assert (got.colors if got else None) == witnesses.get(last)
+        if forced_at is not None and forced_at > 1:
+            forced_seen += 1
+            below = forcing_number(m, 2, forced_at - 1, nontrivial=flag)
+            assert below.forced_at is None
+            assert below.extremal_witness == report.extremal_witness
+    assert forced_seen >= 5
+
+
+# x + y = 0 has no positive solution, so the search runs straight down to
+# the horizon; it is iterative, so no depth hits the recursion limit.
+def test_deep_oracle_needs_no_recursion():
+    res = empirical_pr(RationalMatrix.from_rows([[1, 1]]), 2, 1500)
+    assert res.verdict == "witness" and res.witness.colors == (0,) * 1500
+
+
+def test_deep_sweep_needs_no_recursion():
+    report = forcing_number(RationalMatrix.from_rows([[1, 1]]), 2, 1050)
+    assert report.forced_at is None
+    assert report.extremal_witness.colors == (0,) * 1050
+
+
+@pytest.mark.parametrize("call, minimal", [
+    (lambda b: schur_number(3, 14, budget=b), 1954),
+    (lambda b: schur_number(3, 10, budget=b), 81),  # never forced
+    (lambda b: vdw_number(2, 3, 12, budget=b), 79),
+    (lambda b: forcing_number(RationalMatrix.from_rows([[1, 1, 1, -1]]), 2, 20,
+                              budget=b), 53),
+    (lambda b: empirical_pr(SCHUR, 2, 12, budget=b), 11),
+    (lambda b: empirical_pr(SCHUR, 3, 13, budget=b), 406),
+], ids=["S(3)", "S(3)-unforced", "W(2;3)", "x+y+z=w", "schur-2-12",
+        "schur-3-13"])
+def test_minimal_budgets_are_pinned(call, minimal):
+    """Each search passes at its node count and fails one below it: a
+    forcing sweep is one search, charged like the last per-N search."""
+    call(minimal)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^coloring search exceeded {minimal - 1} nodes$"):
+        call(minimal - 1)
+
+
 def test_three_color_schur_number():
     report = schur_number(3, max_horizon=14)
     assert report.forced_at == 14  # classical value: S(3) = 13
@@ -284,6 +355,20 @@ def test_coloring_text_round_trip():
     assert Coloring.from_text(col.to_text()) == col
     with pytest.raises(InputError):
         Coloring(3, 2, (0, 1, 2))
+
+
+@pytest.mark.parametrize("payload", [
+    {"blocks": [[1, 3], [2]], "coefficients": [{"1": "1/0", "3": "0"}]},
+    {"blocks": [[1, 3], [2]], "coefficients": [{"1": 1.5, "3": "0"}]},
+    {"blocks": [[1, 3], [1.5]], "coefficients": [{"1": "1", "3": "0"}]},
+    {"blocks": [[True, 3], [2]], "coefficients": [{"1": "1", "3": "0"}]},
+    {"blocks": [[1, 3], [2]], "coefficients": [["1"]]},
+])
+def test_certificate_payload_takes_only_exact_numbers(payload):
+    """Block entries are JSON integers and coefficients are integers or
+    "p/q" strings; anything else, or a zero denominator, is an input error."""
+    with pytest.raises(InputError, match="bad certificate payload"):
+        ColumnsCertificate.from_json_dict(payload)
 
 
 def test_certificate_json_round_trip():
