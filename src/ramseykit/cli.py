@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import cst as cstmod
 from . import deuber, dynsets, ipcore, rado
 from .errors import (BudgetExceededError, DegenerateMatrixError, InputError,
-                     read_text)
+                     fields, read_text)
 from .exactq import RationalMatrix, as_rational
 from .windows import SetWindow
 
@@ -59,13 +59,6 @@ def _coloring_payload(coloring):
 
 def _load_matrix(path: str) -> RationalMatrix:
     return RationalMatrix.from_text(read_text(path, "matrix file"))
-
-
-def _int_list(text: str, flag: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"{flag} must be comma-separated integers") from exc
 
 
 def _parse_specs(text: str, horizon) -> list:
@@ -141,7 +134,7 @@ def _mpc_params(args) -> deuber.MpcParams:
 
 def _mpc_gen(args):
     params = _mpc_params(args)
-    generators = _int_list(args.generators, "--generators")
+    generators = fields(args.generators, int, "--generators")
     return {"row_count": deuber.mpc_size(args.m, args.p),
             "values": list(deuber.generate_mpc(params, generators).values)}
 
@@ -149,7 +142,7 @@ def _mpc_gen(args):
 def _mpc_verify(args):
     params = _mpc_params(args)
     window = SetWindow.from_expression(args.set)
-    generators = _int_list(args.generators, "--generators")
+    generators = fields(args.generators, int, "--generators")
     return {"contained": deuber.verify_mpc(window, params, generators)}
 
 
@@ -173,7 +166,7 @@ def _fs_divisible(args):
 
 
 def _fs_zerosum(args):
-    values = _int_list(args.values, "--values")
+    values = fields(args.values, int, "--values")
     indices = ipcore.zero_sum_mod(values, args.modulus)
     return {
         "indices": list(indices) if indices else None,

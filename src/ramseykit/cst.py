@@ -369,6 +369,11 @@ def mpc_from_cst(
     params = MpcParams(m, p, c)
     if family_depth < 1:
         raise InputError("family depth must be >= 1")
+    # level m searches (2p+1)^m systems; 3^k > budget once k is its bit length
+    if (2 * p + 1) ** min(m, budget.bit_length()) > budget:
+        raise BudgetExceededError(
+            f"{2 * p + 1}^{m} combination systems at the top level is over budget"
+        )
     lengths = [0] * (m + 1)
     depths = [0] * (m + 1)
     lengths[m] = family_depth

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InputError, read_text
+from .errors import InputError, expression, fields, pair, read_text
 from .exactq import as_rational
 from .windows import SetWindow
 
@@ -322,79 +322,48 @@ def strauss_witnesses_hold(result: StraussResult) -> bool:
 # ---------------------------------------------------------------------------
 # config-string parsing ("rot:5/8", "shift:0101", "prod:(A;B)", arcs, ...)
 
-def _split_top(text: str, sep: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+def _shift_system(rest: str) -> ShiftSystem:
+    if rest.startswith("file="):
+        rest = "".join(read_text(rest[len("file="):], "shift file").split())
+    return ShiftSystem(rest)
+
+
+def _product_system(rest: str) -> ProductSystem:
+    inner = rest.strip()
+    if not (inner.startswith("(") and inner.endswith(")")):
+        raise InputError("product systems look like prod:(sysA;sysB)")
+    first, second = pair(inner[1:-1], "product system")
+    return ProductSystem(parse_system(first), parse_system(second))
+
+
+_SYSTEM_KINDS = {
+    "rot": ((as_rational,), RotationSystem),
+    "shift": (None, _shift_system),
+    "prod": (None, _product_system),
+}
+_TARGET_KINDS = {RotationSystem: {"arc": ((as_rational,) * 2, Arc.from_interval),
+                                  "carc": ((as_rational,) * 2, Arc)},
+                 ShiftSystem: {"cyl": (None, Cylinder)}}
+_POINT_FIELDS = {RotationSystem: (as_rational,), ShiftSystem: (int,)}
 
 
 def parse_system(text: str):
-    kind, _, rest = text.strip().partition(":")
-    if kind == "rot":
-        return RotationSystem(as_rational(rest))
-    if kind == "shift":
-        if rest.startswith("file="):
-            rest = "".join(read_text(rest[len("file="):], "shift file").split())
-        return ShiftSystem(rest)
-    if kind == "prod":
-        inner = rest.strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise InputError("product systems look like prod:(sysA;sysB)")
-        parts = _split_top(inner[1:-1], ";")
-        if len(parts) != 2:
-            raise InputError("product systems take exactly two components")
-        return ProductSystem(parse_system(parts[0]), parse_system(parts[1]))
-    raise InputError(f"unknown system kind: {kind!r}")
+    return expression(text, _SYSTEM_KINDS, "system")
 
 
 def parse_point(system, text: str):
-    if isinstance(system, RotationSystem):
-        return as_rational(text)
-    if isinstance(system, ShiftSystem):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise InputError("shift points are integer offsets") from exc
     if isinstance(system, ProductSystem):
-        parts = _split_top(text.strip(), ";")
-        if len(parts) != 2:
-            raise InputError("product points look like x;y")
-        return (parse_point(system.first, parts[0]),
-                parse_point(system.second, parts[1]))
-    raise InputError("unknown system type")
+        first, second = pair(text, "product point")
+        return (parse_point(system.first, first),
+                parse_point(system.second, second))
+    if type(system) not in _POINT_FIELDS:
+        raise InputError("unknown system type")
+    return fields(text, _POINT_FIELDS[type(system)], "point")[0]
 
 
 def parse_target(system, text: str):
     if isinstance(system, ProductSystem):
-        parts = _split_top(text.strip(), ";")
-        if len(parts) != 2:
-            raise InputError("product targets look like U;V")
-        return ProductTarget(parse_target(system.first, parts[0]),
-                             parse_target(system.second, parts[1]))
-    kind, _, rest = text.strip().partition(":")
-    if kind in ("arc", "carc"):
-        if not isinstance(system, RotationSystem):
-            raise InputError("arc targets go with rotation systems")
-        parts = rest.split(",")
-        if len(parts) != 2:
-            shape = "lo,hi" if kind == "arc" else "center,radius"
-            raise InputError(f"{kind} targets look like {kind}:{shape}")
-        first, second = (as_rational(v) for v in parts)
-        if kind == "arc":
-            return Arc.from_interval(first, second)
-        return Arc(first, second)
-    if kind == "cyl":
-        if not isinstance(system, ShiftSystem):
-            raise InputError("cylinder targets go with shift systems")
-        return Cylinder(rest)
-    raise InputError(f"unknown target kind: {kind!r}")
+        first, second = pair(text, "product target")
+        return ProductTarget(parse_target(system.first, first),
+                             parse_target(system.second, second))
+    return expression(text, _TARGET_KINDS.get(type(system), {}), "target")

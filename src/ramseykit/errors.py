@@ -1,5 +1,7 @@
-"""Shared exception types, the one reader of input text files, and the
-integer check for JSON payloads."""
+"""Shared exception types and the input boundary: the one reader of input
+text files, the integer check for JSON payloads, and the `kind:fields` reader."""
+
+NEST_CAP = 100  # products nest at most this deep (`pair` never sees the outer level)
 
 
 class InputError(ValueError):
@@ -50,3 +52,43 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise InputError(f"expected an integer, got {value!r}")
     return value
+
+
+def fields(text: str, converters, what: str) -> tuple:
+    """The comma-separated fields of `text`, one per converter in a tuple or any
+    number through one converter.  A wrong count or refused field is an InputError."""
+    parts = text.split(",")
+    if callable(converters):
+        converters = (converters,) * len(parts)
+    if len(parts) != len(converters):
+        raise InputError(f"{what}s look like {len(converters)} values, got {text!r}")
+    try:
+        return tuple(convert(part) for convert, part in zip(converters, parts))
+    except ValueError as exc:
+        raise InputError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def expression(text: str, kinds: dict, what: str, *extra):
+    """Build `kind:rest` by its row (converters, build) of `kinds`: build gets
+    the raw rest if converters is None, else the converted fields, then `extra`."""
+    kind, _, rest = text.strip().partition(":")
+    if kind not in kinds:
+        raise InputError(f"unknown {what} kind: {kind!r}")
+    converters, build = kinds[kind]
+    if converters is None:
+        return build(rest, *extra)
+    return build(*fields(rest, converters, f"{kind} {what}"), *extra)
+
+
+def pair(text: str, what: str) -> tuple[str, str]:
+    """The two sides of the one `;` of `text` outside parentheses."""
+    depth, cuts = 0, []
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth >= NEST_CAP:
+            raise InputError(f"{what}s nest more than {NEST_CAP} deep")
+        if ch == ";" and depth == 0:
+            cuts.append(i)
+    if len(cuts) != 1:
+        raise InputError(f"{what}s look like A;B, got {text!r}")
+    return text[:cuts[0]], text[cuts[0] + 1:]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, expression, fields
 from .windows import SetWindow
 
 # The largest index a FiniteIndexSet may hold.  Index sets are stored as
@@ -150,28 +150,24 @@ class IPSystemSpec:
     @classmethod
     def parse(cls, text: str, horizon: Optional[int] = None) -> "IPSystemSpec":
         """Parse rule syntax: const:k, arith:a,d, geom:a,r, list:v1,v2,..."""
-        kind, _, rest = text.strip().partition(":")
-        try:
-            if kind == "list":
-                vals = [int(p) for p in rest.split(",")]
-                if horizon is not None and horizon > len(vals):
-                    raise InputError("requested horizon exceeds list length")
-                return cls.from_terms(vals, rule=text.strip())
-            if horizon is None:
-                raise InputError(f"rule {text!r} needs an explicit horizon")
-            if kind == "const":
-                return cls.constant(int(rest), horizon)
-            if kind == "arith":
-                a, d = (int(p) for p in rest.split(","))
-                return cls.arithmetic(a, d, horizon)
-            if kind == "geom":
-                a, r = (int(p) for p in rest.split(","))
-                return cls.geometric(a, r, horizon)
-        except InputError:
-            raise
-        except ValueError as exc:
-            raise InputError(f"bad IP-system rule: {text!r}") from exc
-        raise InputError(f"unknown IP-system rule kind: {kind!r}")
+        if horizon is None and not text.strip().startswith("list:"):
+            raise InputError(f"rule {text!r} needs an explicit horizon")
+        return expression(text, _RULE_KINDS, "IP-system rule", horizon)
+
+
+def _list_rule(rest: str, horizon: Optional[int]) -> IPSystemSpec:
+    vals = fields(rest, int, "list rule")
+    if horizon is not None and horizon > len(vals):
+        raise InputError("requested horizon exceeds list length")
+    return IPSystemSpec.from_terms(vals, rule="list:" + rest)
+
+
+_RULE_KINDS = {
+    "const": ((int,), IPSystemSpec.constant),
+    "arith": ((int, int), IPSystemSpec.arithmetic),
+    "geom": ((int, int), IPSystemSpec.geometric),
+    "list": (None, _list_rule),
+}
 
 
 def ip_term(spec: IPSystemSpec, alpha: FiniteIndexSet) -> Term:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InputError, read_text
+from .errors import InputError, expression, fields, read_text
 
 
 @dataclass(frozen=True)
@@ -109,34 +109,27 @@ class SetWindow:
         """Parse set expressions: all:N, odds:N, evens:N, mod:r,m,N,
         fs:rule,k, file:PATH, or a bare file path."""
         expr = expr.strip()
-        if ":" not in expr:
-            if os.path.exists(expr):
-                return cls.from_file(expr)
-            raise InputError(f"unknown set expression: {expr!r}")
-        kind, _, rest = expr.partition(":")
-        try:
-            if kind == "all":
-                return cls.full(int(rest))
-            if kind == "odds":
-                return cls.odds(int(rest))
-            if kind == "evens":
-                return cls.evens(int(rest))
-            if kind == "mod":
-                r, m, n = (int(p) for p in rest.split(","))
-                return cls.residue_class(r, m, n)
-            if kind == "file":
-                return cls.from_file(rest)
-            if kind == "fs":
-                # the rule itself may contain commas: split on the last one
-                rule, _, ktext = rest.rpartition(",")
-                if not rule:
-                    raise InputError("fs expression needs a rule and a prefix length")
-                k = int(ktext)
-                from .ipcore import IPSystemSpec, fs_enumerate
+        if ":" not in expr and os.path.exists(expr):
+            return cls.from_file(expr)
+        return expression(expr, _SET_KINDS, "set expression")
 
-                return fs_enumerate(IPSystemSpec.parse(rule, horizon=k), k)
-        except InputError:
-            raise
-        except ValueError as exc:
-            raise InputError(f"bad set expression: {expr!r}") from exc
-        raise InputError(f"unknown set expression kind: {kind!r}")
+
+def _fs_window(rest: str) -> SetWindow:
+    # the rule itself may contain commas: split on the last one
+    rule, _, ktext = rest.rpartition(",")
+    if not rule:
+        raise InputError("fs expression needs a rule and a prefix length")
+    (k,) = fields(ktext, (int,), "fs prefix length")
+    from .ipcore import IPSystemSpec, fs_enumerate
+
+    return fs_enumerate(IPSystemSpec.parse(rule, horizon=k), k)
+
+
+_SET_KINDS = {
+    "all": ((int,), SetWindow.full),
+    "odds": ((int,), SetWindow.odds),
+    "evens": ((int,), SetWindow.evens),
+    "mod": ((int, int, int), SetWindow.residue_class),
+    "file": (None, SetWindow.from_file),
+    "fs": (None, _fs_window),
+}

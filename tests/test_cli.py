@@ -211,6 +211,29 @@ def test_cst_search_with_huge_negative_terms_exits_two(capsys):
     assert json.loads(out)["verdict"] == "budget-exceeded"
 
 
+def test_cst_mpc_over_the_combination_cap_exits_two(capsys):
+    code, out = invoke(capsys, "cst", "mpc", "--set", "all:200", "--m", "15",
+                       "--p", "1", "--c", "1")
+    assert code == 2
+    assert json.loads(out) == {
+        "detail": "3^15 combination systems at the top level is over budget",
+        "verdict": "budget-exceeded"}
+
+
+def test_deeply_nested_product_exits_one_without_traceback(tmp_path):
+    """1500 nested products (a 22.5 kB argument) end in the input error, in
+    a fresh process, instead of a RecursionError traceback."""
+    system = "rot:1/2"
+    for _ in range(1500):
+        system = f"prod:({system};rot:1/3)"
+    proc = fresh_run(tmp_path, "dyn", "orbit", "--system", system, "--point", "0",
+                     "--target", "arc:0,1/2", "--horizon", "5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "nest more than" in proc.stderr
+
+
 def test_malformed_target_exits_one_without_output(capsys):
     for target in ("arc:0", "arc:1,2,3", "carc:1/2"):
         code = run(["dyn", "orbit", "--system", "rot:1/3", "--point", "0",

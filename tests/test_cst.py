@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -352,6 +353,22 @@ def test_tower_with_higher_divisor():
     got = mpc_from_cst(window, 0, 1, 3)
     assert got is not None
     assert verify_mpc(window, MpcParams(0, 1, 3), got.system.generators)
+
+
+def test_tower_combination_systems_are_capped_by_the_budget():
+    """Level m searches (2p+1)^m combination systems, so more of them than
+    the budget is a budget error before any is built (3^15 took minutes)."""
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^3\^15 combination systems"):
+        mpc_from_cst(SetWindow.full(200), 15, 1, 1)
+    assert time.perf_counter() - started < 1
+    # all:145 at (3, 1, 1) needed a budget of 8 before the cap; now 3^3 = 27
+    window = SetWindow.full(145)
+    with pytest.raises(BudgetExceededError, match=r"^3\^3 combination systems"):
+        mpc_from_cst(window, 3, 1, 1, budget=26)
+    got = mpc_from_cst(window, 3, 1, 1, budget=27)
+    assert got is not None and got == mpc_from_cst(window, 3, 1, 1)
+    assert verify_mpc(window, MpcParams(3, 1, 1), got.system.generators)
 
 
 def test_tower_families_form_a_vector_system():

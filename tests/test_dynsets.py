@@ -6,7 +6,7 @@ import textwrap
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ramseykit
 from ramseykit.dynsets import (
@@ -27,8 +27,8 @@ from ramseykit.dynsets import (
     strauss_witnesses_hold,
     syndetic_gap,
 )
-from ramseykit.errors import InputError
-from ramseykit.ipcore import zero_sum_mod
+from ramseykit.errors import NEST_CAP, BudgetExceededError, InputError
+from ramseykit.ipcore import IPSystemSpec, zero_sum_mod
 from ramseykit.rado import solve_in_cell
 from ramseykit.exactq import RationalMatrix
 from ramseykit.windows import SetWindow
@@ -270,6 +270,95 @@ def test_parse_round_trips():
         parse_system("wat:1")
     with pytest.raises(InputError):
         parse_target(sys_a, "cyl:01")
+    # a product of products parses, and so do the points and targets of its
+    # product components
+    nested = parse_system("prod:(prod:(rot:1/2;shift:0110);prod:(rot:1/3;rot:2/5))")
+    assert nested == ProductSystem(
+        ProductSystem(RotationSystem(F(1, 2)), ShiftSystem("0110")),
+        ProductSystem(RotationSystem(F(1, 3)), RotationSystem(F(2, 5))))
+    assert parse_point(nested.first, " 1/4 ; 2") == (F(1, 4), 2)
+    assert parse_point(nested.second, "0;1/5") == (F(0), F(1, 5))
+    assert parse_target(nested.first, "carc:0,1/4;cyl:01") == ProductTarget(
+        Arc(F(0), F(1, 4)), Cylinder("01"))
+    # a point of the whole has no spelling: a pair holds one `;` outside
+    # parentheses, and a parenthesised half is not a point
+    for text in ("1/4;2;0;1/5", "(1/4;2);(0;1/5)"):
+        with pytest.raises(InputError):
+            parse_point(nested, text)
+    # list rules: the horizon may not exceed the list, and does not cut it
+    assert IPSystemSpec.parse("list:3,-1,4") == IPSystemSpec("list:3,-1,4", (3, -1, 4))
+    assert IPSystemSpec.parse(" list:3,-1,4 ", horizon=2).terms == (3, -1, 4)
+    with pytest.raises(InputError):
+        IPSystemSpec.parse("list:3,-1,4", horizon=4)
+    with pytest.raises(InputError):
+        IPSystemSpec.parse("const:3")
+    # fs: the rule keeps its commas; the prefix length is the last field
+    assert SetWindow.from_expression("fs:arith:1,2,3").members == (1, 3, 4, 5, 6, 8, 9)
+    assert SetWindow.from_expression("fs:list:4,1,9,2") == SetWindow.from_expression(
+        "fs:list:4,1,9,2,2")
+    for text in ("fs:arith:1,2", "fs:3", "fs:arith:1,2,x"):
+        with pytest.raises(InputError):
+            SetWindow.from_expression(text)
+
+
+def _nested_products(depth: int) -> str:
+    text = "rot:1/2"
+    for _ in range(depth):
+        text = f"prod:({text};rot:1/3)"
+    return text
+
+
+def test_product_nesting_is_capped():
+    """Products recurse once per level, so nesting past NEST_CAP is an
+    input error rather than a RecursionError."""
+    assert isinstance(parse_system(_nested_products(NEST_CAP)), ProductSystem)
+    for depth in (NEST_CAP + 1, 1500):
+        with pytest.raises(InputError, match=f"nest more than {NEST_CAP} deep"):
+            parse_system(_nested_products(depth))
+
+
+KIND_NAMES = ["all", "odds", "evens", "mod", "file", "fs", "const", "arith",
+              "geom", "list", "rot", "shift", "prod", "arc", "carc", "cyl"]
+DIGITS = st.from_regex(r"[0-9]{1,4}", fullmatch=True)
+TOKENS = st.one_of(st.sampled_from(KIND_NAMES), DIGITS,
+                   st.sampled_from(list(":,;()/-= ")))
+FIELD = st.one_of(DIGITS, DIGITS, st.builds("{}/{}".format, DIGITS, DIGITS),
+                  st.builds("-{}".format, DIGITS))
+KIND_TEXT = st.builds("{}:{}".format, st.sampled_from(KIND_NAMES),
+                      st.lists(FIELD, min_size=1, max_size=3).map(",".join))
+# free token strings, kind:fields strings with number fields alone or as a
+# pair, and numbers alone or as a pair (points)
+GRAMMAR_TEXT = st.one_of(st.lists(TOKENS, max_size=12).map("".join), KIND_TEXT,
+                         st.builds("{};{}".format, KIND_TEXT, KIND_TEXT),
+                         st.lists(FIELD, min_size=1, max_size=2).map(";".join))
+FIXED_SYSTEMS = [parse_system(text) for text in
+                 ("rot:1/3", "shift:0101", "prod:(rot:1/2;shift:0110)")]
+
+
+def _value_or_input_error(parse, *args):
+    """The parsed value, or None for an input error; a fixed cap (exit 2)
+    counts as a verdict too.  Anything else escapes and fails the test."""
+    try:
+        return parse(*args)
+    except (InputError, BudgetExceededError):
+        return None
+
+
+# one empty directory serves every example: the parsers only read it
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(GRAMMAR_TEXT)
+def test_every_expression_is_a_value_or_an_input_error(tmp_path, monkeypatch, text):
+    """Strings over the grammar's alphabet through all five entry points; bare
+    paths, `file:` and `shift:file=` resolve in an empty directory."""
+    monkeypatch.chdir(tmp_path)
+    _value_or_input_error(SetWindow.from_expression, text)
+    for horizon in (None, 4):
+        _value_or_input_error(IPSystemSpec.parse, text, horizon)
+    system = _value_or_input_error(parse_system, text)
+    for sys_ in FIXED_SYSTEMS + ([system] if system is not None else []):
+        _value_or_input_error(parse_point, sys_, text)
+        _value_or_input_error(parse_target, sys_, text)
 
 
 @pytest.mark.parametrize("text", ["arc:0", "arc:1,2,3", "arc:", "carc:1/2",
