@@ -154,6 +154,7 @@ def _mpc_find(args):
 
 
 def _fs_enum(args):
+    ipcore.check_fs_prefix(args.k)
     spec = ipcore.IPSystemSpec.parse(args.spec, horizon=args.horizon or args.k)
     return {"window": _window_payload(ipcore.fs_enumerate(spec, args.k))}
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 from typing import Optional, Sequence
 
 from .deuber import MpcParams, MpcSystem, generate_mpc, verify_mpc
@@ -144,6 +145,14 @@ def cst_search(
     are dropped by this look-ahead; a dropped position is charged with the
     next visited one or with the level's closing charge, just as a failing
     one is, and it would have charged nothing below it.
+
+    A level thus has 2^width - 1 budget positions per a, and a level with
+    more than the budget raises before it is scanned, but the table it
+    scans holds only the first index set of each (max index, sums) pair.  The table is
+    built from the distinct subset sums (see candidates), so its size and
+    cost follow their number: const:1 at horizon 20 has 210 candidates
+    among 2^20 - 1 index sets, while a rule whose subset sums all differ,
+    such as geom, still has them all.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -159,37 +168,46 @@ def cst_search(
     cand_cache: dict[int, tuple] = {}
 
     def candidates(low: int) -> tuple:
-        """(count, reach, distinct) over the nonempty subsets of
-        (low, horizon] in binary-counting order: count of them all, the
-        largest a the budget can reach at this level, and (position, mask,
-        max index, per-spec sums) for the first subset of each (max index,
-        sums) pair, bit b of the mask being index low + b + 1.  A later
-        subset with the same pair would reach the same memo key for every a,
-        so it can only be a dead state once the first has been tried."""
+        """(count, reach, distinct) for the indices in (low, horizon]: the
+        count of their nonempty subsets, the largest a the budget can reach
+        at this level, and the candidates (mask, max index, per-spec sums)
+        in mask order.  Bit b of a mask is index low + b + 1, so the mask is
+        also the subset's position in binary-counting order.  Only the first
+        subset of each (max index, sums) pair is a candidate: a later one
+        would reach the same memo key for every a, so it can only be a dead
+        state once the first has been tried.
+
+        The table is built from the distinct sum vectors, not from all
+        2^width subsets.  `first` maps the sums of each subset of the
+        indices taken so far (the empty one included) to its smallest mask,
+        so the first subset with max index idx and sums V is
+        first[V - s(idx)] | bit.  `first` stays in mask order, so each index
+        adds its candidates in mask order, above all earlier ones.  The work
+        is width times the number of distinct sum vectors, which is 2^width
+        only when every subset sum differs."""
         got = cand_cache.get(low)
         if got is not None:
             return got
         width = horizon - low
-        if width > DEPTH_CAP or (1 << width) - 1 > budget:
+        count = (1 << width) - 1
+        if width > DEPTH_CAP or count > budget:
             raise BudgetExceededError(
                 f"2^{width} candidate index sets per level is over budget"
             )
-        count = 1 << width
-        sums = [[0] * count for _ in range(p)]
-        distinct = {}
-        for mask in range(1, count):
-            lsb = mask & -mask
-            rest = mask ^ lsb
-            idx = low + lsb.bit_length()
-            for i in range(p):
-                sums[i][mask] = sums[i][rest] + specs[i].terms[idx - 1]
-            key = (low + mask.bit_length(), tuple(sums[i][mask] for i in range(p)))
-            distinct.setdefault(key, (mask - 1, mask) + key)
-        # an a beyond reach starts at position (a - 1) * (count - 1) + 1,
-        # already over budget, so the bit ranges stay small however large
-        # a_hi is
-        reach = min(a_hi, budget // (count - 1) + 1) if count > 1 else 0
-        got = cand_cache[low] = (count - 1, reach, list(distinct.values()))
+        first = {(0,) * p: 0}
+        distinct = []
+        for idx in range(low + 1, horizon + 1):
+            bit = 1 << (idx - low - 1)
+            step = [s.terms[idx - 1] for s in specs]
+            rows = [(mask | bit, idx, tuple(map(add, sums, step)))
+                    for sums, mask in first.items()]
+            distinct += rows
+            for mask, _, sums in rows:
+                first.setdefault(sums, mask)
+        # an a beyond reach starts at position (a - 1) * count + 1, already
+        # over budget, so the bit ranges stay small however large a_hi is
+        reach = min(a_hi, budget // count + 1) if count else 0
+        got = cand_cache[low] = (count, reach, distinct)
         return got
 
     def scan(reach, distinct, admissible, last):
@@ -200,7 +218,7 @@ def cst_search(
         passing = []
         for cand in distinct:
             ok = a_range
-            for b, s in zip(admissible, cand[3]):
+            for b, s in zip(admissible, cand[2]):
                 if s >= 0:
                     ok &= b >> s
                 elif -s <= reach:
@@ -213,12 +231,12 @@ def cst_search(
             for i, b in enumerate(admissible):
                 probed = 0
                 for ok, cand in passing:
-                    s = cand[3][i]
+                    s = cand[2][i]
                     probed |= ok << s if s >= 0 else ok >> -s
                 live = _live_terms(b, probed)
                 kept = []
                 for ok, cand in passing:
-                    s = cand[3][i]
+                    s = cand[2][i]
                     ok &= live >> s if s >= 0 else live << -s
                     if ok:
                         kept.append((ok, cand))
@@ -250,10 +268,10 @@ def cst_search(
         count, reach, distinct = candidates(low)
         last = level + 1 == depth
         seen = 0  # positions of this level charged so far
-        for a, (j, bits, amax, svec) in scan(reach, distinct, admissible, last):
+        for a, (bits, amax, svec) in scan(reach, distinct, admissible, last):
             # every position up to this one counts as scanned: the failing,
             # duplicate and dead-end ones are charged here without a visit
-            pos = (a - 1) * count + j + 1
+            pos = (a - 1) * count + bits
             charge(pos - seen)
             seen = pos
             if last:

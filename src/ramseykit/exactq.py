@@ -26,8 +26,13 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction takes "1 / 3" from Python 3.12 on and "1_0" from 3.11
+        # on; refusing both inside the literal keeps one spelling everywhere
+        text = value.strip()
+        if "_" in text or any(ch.isspace() for ch in text):
+            raise InputError(f"not a rational literal: {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational literal: {value!r}") from exc
     raise InputError(f"exact rational required, got {type(value).__name__}")

@@ -193,16 +193,22 @@ def finite_sums(terms: Iterable[int]) -> set:
     return sums
 
 
+def check_fs_prefix(k: int) -> None:
+    """Refuse a prefix over FS_PREFIX_CAP; callers that parse a rule at
+    horizon k check first, since building the rule alone can take seconds."""
+    if k > FS_PREFIX_CAP:
+        raise BudgetExceededError(
+            f"prefix length {k} exceeds the {FS_PREFIX_CAP} cap (2^k - 1 sums)"
+        )
+
+
 def fs_enumerate(spec: IPSystemSpec, k: int) -> SetWindow:
     """All finite sums over nonempty subsets of the first k generators."""
     if spec.width != 1:
         raise InputError("finite-sum windows are defined for scalar systems only")
     if not 1 <= k <= spec.horizon:
         raise InputError(f"prefix length {k} outside 1..{spec.horizon}")
-    if k > FS_PREFIX_CAP:
-        raise BudgetExceededError(
-            f"prefix length {k} exceeds the {FS_PREFIX_CAP} cap (2^k - 1 sums)"
-        )
+    check_fs_prefix(k)
     sums = finite_sums(spec.terms[:k])
     if min(sums) < 1:
         raise InputError("finite sums leave the positive integers; no window")

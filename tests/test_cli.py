@@ -32,14 +32,14 @@ def report(capsys, *argv):
     return json.loads(out)
 
 
-def fresh_run(cwd, *argv):
+def fresh_run(cwd, *argv, timeout=60):
     """The CLI in a new interpreter, so an escaping exception would show
     its traceback on stderr."""
     src = os.path.dirname(os.path.dirname(ramseykit.__file__))
     return subprocess.run(
         [sys.executable, "-m", "ramseykit.cli", *argv],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -217,6 +217,22 @@ def test_cst_mpc_over_the_combination_cap_exits_two(capsys):
     assert code == 2
     assert json.loads(out) == {
         "detail": "3^15 combination systems at the top level is over budget",
+        "verdict": "budget-exceeded"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("dyn", "gaps", "--set", "fs:geom:9999,9999,9999"),
+    ("fs", "enum", "--spec", "geom:9999,9999", "--k", "9999"),
+])
+def test_fs_prefix_over_the_cap_exits_two_before_building_the_rule(argv,
+                                                                   tmp_path):
+    """The prefix cap is checked before the rule is built at horizon k:
+    building 9999 geometric terms of up to 133k bits first took about 9 s
+    on a 2-core Xeon, well past the timeout."""
+    proc = fresh_run(tmp_path, *argv, timeout=5)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "detail": "prefix length 9999 exceeds the 20 cap (2^k - 1 sums)",
         "verdict": "budget-exceeded"}
 
 

@@ -270,6 +270,136 @@ def test_minimal_budgets_are_pinned(expr, rules, horizon, depth, minimal,
         cst_search(window, specs, depth, budget=minimal - 1)
 
 
+def budgeted_brute_search(window, specs, depth, budget=None):
+    """Independent budget oracle over every index set, with no candidate
+    table, no look-ahead and set arithmetic throughout.
+
+    Positions (a, alpha) are scanned in order and each level charges up to
+    the last one it visits, or a_hi * (2^width - 1) when it finds nothing.
+    Only a repeated dead state (remaining depth, max index, sum sets) is
+    skipped.  A level with 2^width - 1 index sets over the budget raises as
+    soon as it is entered.  With budget None nothing raises and the result
+    is (chain, least budget that finishes)."""
+    horizon = specs[0].horizon
+    members = window.member_set
+    a_hi = max(0, window.horizon - min(
+        min(0, sum(t for t in s.terms if t < 0)) or min(s.terms) for s in specs))
+    ticks = widest = 0
+    dead = set()
+
+    def charge(n):
+        nonlocal ticks
+        ticks += n
+        if budget is not None and ticks > budget:
+            raise BudgetExceededError(f"witness search exceeded {budget} candidates")
+
+    def rec(chain, low, sum_sets):
+        nonlocal widest
+        if not all(any(all(x + t in members for t in sums) for x in members)
+                   for sums in sum_sets):
+            return None
+        width = horizon - low
+        count = (1 << width) - 1
+        widest = max(widest, count)
+        if budget is not None and count > budget:
+            raise BudgetExceededError(
+                f"2^{width} candidate index sets per level is over budget")
+        seen = 0
+        for a in range(1, a_hi + 1):
+            for mask in range(1, count + 1):
+                alpha = tuple(low + b + 1 for b in range(width) if mask >> b & 1)
+                terms = [a + sum(s.terms[i - 1] for i in alpha) for s in specs]
+                merged = [sums | {u} | {t + u for t in sums}
+                          for sums, u in zip(sum_sets, terms)]
+                if not all(m <= members for m in merged):
+                    continue
+                pos = (a - 1) * count + mask
+                charge(pos - seen)
+                seen = pos
+                if len(chain) + 1 == depth:
+                    return chain + [(a, alpha)]
+                key = (depth - len(chain) - 1, alpha[-1],
+                       tuple(map(frozenset, merged)))
+                if key in dead:
+                    continue
+                got = rec(chain + [(a, alpha)], alpha[-1], merged)
+                if got is not None:
+                    return got
+                dead.add(key)
+        charge(a_hi * count - seen)
+        return None
+
+    got = rec([], 0, [set() for _ in specs])
+    return got if budget is not None else (got, max(ticks, widest))
+
+
+def budget_outcome(search, *args):
+    try:
+        return search(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_candidate_table_keeps_every_budget_of_the_full_scan():
+    """Seeded widths up to 8 with mixed signs and one to three systems, some
+    of them with many repeated sums: the same witness or refutation, the
+    same least budget and the same budget message one below it."""
+    rng = random.Random(11)
+    for _ in range(100):
+        horizon = rng.randint(2, 8)
+        n = rng.randint(6, 30)
+        # sparse windows, so that witnesses sit past the first index sets
+        window = SetWindow.from_members(n, rng.sample(range(1, n + 1),
+                                                      rng.randint(2, n // 3)))
+        specs = [IPSystemSpec.from_terms(
+                     [rng.choice([1, 2, rng.randint(-3, 4)])
+                      for _ in range(horizon)])
+                 for _ in range(rng.randint(1, 3))]
+        depth = rng.randint(1, 3 if horizon <= 5 else 2)
+        expected, minimal = budgeted_brute_search(window, specs, depth)
+        for budget in (minimal - 1, minimal, minimal + 1):
+            if budget < 1:
+                continue
+            want = budget_outcome(budgeted_brute_search, window, specs, depth,
+                                  budget)
+            got = budget_outcome(cst_search, window, specs, depth, budget)
+            if isinstance(got, CstWitness):
+                got = [(a, al.members) for a, al in zip(got.a_values, got.alphas)]
+            assert got == want, (window, specs, depth, budget)
+        assert isinstance(want, str) or want == expected
+
+
+def test_candidate_table_keeps_the_first_index_set_of_each_sum():
+    """{1, 3} and {2, 3} both sum to 3 with max index 3: the first one is
+    the witness, at position 5, and the second is never tried."""
+    specs = [IPSystemSpec.from_terms([1, 1, 2])]
+    wit = cst_search(SetWindow.from_members(4, [4]), specs, 1)
+    assert wit.a_values == (1,) and wit.alphas == (FiniteIndexSet.of(1, 3),)
+
+
+@pytest.mark.parametrize("rule", ["const:1", "arith:1,1"])
+def test_few_distinct_sums_build_a_small_table(rule):
+    """const:1 at horizon 20 has 210 (max index, sum) pairs among its
+    2^20 - 1 index sets, and the table follows the pairs: the witness at the
+    first position took over 2 s on a 2-core Xeon when every index set was
+    summed first."""
+    started = time.perf_counter()
+    wit = cst_search(SetWindow.full(100),
+                     [IPSystemSpec.parse(rule, horizon=20)], 1)
+    assert time.perf_counter() - started < 1
+    assert wit.a_values == (1,) and wit.alphas == (FiniteIndexSet.of(1),)
+
+
+def test_level_cap_is_a_rule_about_budget_positions():
+    """2^20 - 1 positions per a do not fit a budget of 2^20 - 2, however few
+    distinct sums the table holds."""
+    specs = [IPSystemSpec.constant(1, 20)]
+    with pytest.raises(BudgetExceededError, match=r"^2\^20 candidate index "
+                       r"sets per level is over budget$"):
+        cst_search(SetWindow.full(100), specs, 1, budget=2**20 - 2)
+    assert cst_search(SetWindow.full(100), specs, 1, budget=2**20 - 1)
+
+
 def test_fs_windows_support_every_depth():
     """Sum-closed substrate: finite-sums windows admit witnesses at every
     depth that fits the horizon."""

@@ -7,6 +7,7 @@ import pytest
 from ramseykit.errors import InputError
 from ramseykit.exactq import (
     RationalMatrix,
+    as_rational,
     in_column_span,
     rank,
     solve_linear,
@@ -194,3 +195,17 @@ def test_matrix_text_rejects_bad_shapes():
         RationalMatrix.from_text("1 2\n1 2 3\n")
     with pytest.raises(InputError):
         RationalMatrix.from_rows([[0.5]])
+
+
+@pytest.mark.parametrize("text", ["691387 /9829", "1/ 3", "1 / 3", "1_0/3"])
+def test_rational_literals_read_alike_on_every_python(text):
+    """Fraction takes spaces around the slash from Python 3.12 on and
+    underscores from 3.11 on; as_rational refuses both on every version."""
+    with pytest.raises(InputError, match="not a rational literal"):
+        as_rational(text)
+
+
+def test_rational_literals_keep_their_outer_whitespace_and_forms():
+    assert as_rational(" 691387/9829\n") == F(691387, 9829)
+    assert as_rational("-1.5") == F(-3, 2)
+    assert as_rational("+2/4") == F(1, 2)
