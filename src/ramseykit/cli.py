@@ -135,8 +135,10 @@ def _mpc_params(args) -> deuber.MpcParams:
 def _mpc_gen(args):
     params = _mpc_params(args)
     generators = fields(args.generators, int, "--generators")
-    return {"row_count": deuber.mpc_size(args.m, args.p),
-            "values": list(deuber.generate_mpc(params, generators).values)}
+    # expand first: it checks the generators and the row cap before
+    # mpc_size raises 2p + 1 to the power m + 1
+    values = list(deuber.generate_mpc(params, generators).values)
+    return {"row_count": deuber.mpc_size(args.m, args.p), "values": values}
 
 
 def _mpc_verify(args):
@@ -227,7 +229,13 @@ def _dyn_strauss(args):
 
 def _cst_search(args):
     window = SetWindow.from_expression(args.set)
-    specs = _parse_specs(args.specs, args.spec_horizon)
+    # refuse an over-cap horizon where cst_search would refuse level 0: past
+    # its depth checks, on a nonempty window, but before the rules are built
+    horizon = args.spec_horizon
+    if (horizon is not None and horizon > cstmod.DEPTH_CAP and window.members
+            and 1 <= args.depth <= cstmod.DEPTH_CAP):
+        cstmod.check_level_width(horizon, args.budget)
+    specs = _parse_specs(args.specs, horizon)
     witness = cstmod.cst_search(window, specs, args.depth, budget=args.budget)
     return {"verdict": "witness" if witness else "absent",
             "witness": witness.to_json_dict() if witness else None}
@@ -256,7 +264,7 @@ def _cst_mpc(args):
                 "values": None}
     return {"verdict": "found",
             "families": [list(f) for f in result.families],
-            "generators": [f[0] for f in result.families],
+            "generators": list(result.system.generators),
             "values": list(result.system.values)}
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import add
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .deuber import MpcParams, MpcSystem, generate_mpc, verify_mpc
@@ -114,6 +114,16 @@ def _live_terms(b: int, probed: int) -> int:
     return live
 
 
+def check_level_width(width: int, budget: int) -> None:
+    """Refuse a level of 2^width - 1 candidate index sets past DEPTH_CAP or
+    the budget.  Callers that parse rules at horizon `width` check first,
+    since building the rules alone can take seconds."""
+    if width > DEPTH_CAP or (1 << width) - 1 > budget:
+        raise BudgetExceededError(
+            f"2^{width} candidate index sets per level is over budget"
+        )
+
+
 def cst_search(
     window: SetWindow,
     specs: Sequence[IPSystemSpec],
@@ -189,11 +199,8 @@ def cst_search(
         if got is not None:
             return got
         width = horizon - low
+        check_level_width(width, budget)
         count = (1 << width) - 1
-        if width > DEPTH_CAP or count > budget:
-            raise BudgetExceededError(
-                f"2^{width} candidate index sets per level is over budget"
-            )
         first = {(0,) * p: 0}
         distinct = []
         for idx in range(low + 1, horizon + 1):
@@ -337,19 +344,11 @@ class MpcFromCstResult:
     system: MpcSystem
 
 
-def _reindex_and_divide(families, c: int, want: int):
-    """Choose a chain of index sets making the top coordinate divisible by
-    c, pull every family back through it, and divide the top by c."""
-    top_spec = IPSystemSpec.from_terms(families[-1])
-    alphas = find_divisible_subsequence(top_spec, c, want)
-    reindexed = []
-    for fam in families[:-1]:
-        spec = IPSystemSpec.from_terms(fam)
-        reindexed.append([ip_term(spec, a) for a in alphas])
-    top = [ip_term(top_spec, a) for a in alphas]
-    assert all(v % c == 0 for v in top)
-    reindexed.append([v // c for v in top])
-    return reindexed
+def _pull_back(families, alphas):
+    """Re-index every family along a chain of index sets: member n of the
+    new family is the finite sum that alphas[n] selects from the old one."""
+    specs = map(IPSystemSpec.from_terms, families)
+    return [[ip_term(spec, a) for a in alphas] for spec in specs]
 
 
 def mpc_from_cst(
@@ -360,29 +359,29 @@ def mpc_from_cst(
     budget: int = DEFAULT_CST_BUDGET,
     family_depth: int = 1,
 ) -> Optional[MpcFromCstResult]:
-    """Derive a verified (m, p, c)-tower inside the window by iterating the
-    witness search.
+    """Derive a verified (m, p, c)-tower inside the window by running the
+    same level step for r = 0..m.
 
-    Level 0 runs the search against the all-zero system, which yields a
-    finite-sums family inside S.  Level r then feeds the (2p+1)^r
-    combination systems i_{r-1} t^{r-1} + ... + i_0 t^0 back into the
-    search; the witness's a-values become the next coordinate (with
-    leading coefficient 1), and for c > 1 a divisibility chain makes that
-    coordinate divisible by c so it can be divided down, restoring the
-    leading coefficient c.  Each level keeps just enough family members
-    for the levels above it.
+    Level r feeds the (2p+1)^r combination systems i_{r-1} t^{r-1} + ...
+    + i_0 t^0 of the families found so far into the witness search (at
+    level 0 the one empty pattern gives the all-zero system, whose witnesses
+    are finite-sums families inside S).  The witness's index sets pull every
+    family back, and its a-values become family r.  For c > 1 a
+    divisibility chain pulls them all back again, so that family r can be
+    divided by c, restoring the leading coefficient c.
 
     The pipeline takes the first witness at every level and does not
     backtrack across levels, so None refutes this deterministic
     construction on the window, not containment as such; budget exhaustion
     in any inner search propagates as BudgetExceededError.
 
-    Family lengths grow by a factor of c per level below the top: dividing
-    a coordinate by c can break residue compatibility (on the even numbers
-    with c = 2, halved values turn odd), and the cure is index sets summing
-    several family members, which needs spare length.  The schedule is
-    therefore multiplicative, and deep towers with c > 1 hit the candidate
-    budget guard rather than running forever.
+    Level r searches to depth family_depth * c^(2(m-r)+1) and keeps
+    family_depth * c^(2(m-r)) members, level r+1's horizon.  Dividing by c
+    can break residue compatibility (on the even numbers with c = 2, halved
+    values turn odd), and the cure is index sets summing several family
+    members, which needs spare length.  Level 0's depth thus passes
+    DEPTH_CAP, a budget error before any search, already at family_depth 1
+    once c = 2 and m >= 2, or c >= 3 and m >= 1.
     """
     params = MpcParams(m, p, c)
     if family_depth < 1:
@@ -392,45 +391,22 @@ def mpc_from_cst(
         raise BudgetExceededError(
             f"{2 * p + 1}^{m} combination systems at the top level is over budget"
         )
-    lengths = [0] * (m + 1)
-    depths = [0] * (m + 1)
-    lengths[m] = family_depth
-    for r in range(m, -1, -1):
-        depths[r] = lengths[r] * c if c > 1 else lengths[r]
-        if r > 0:
-            lengths[r - 1] = depths[r] * c
-
-    trivial = IPSystemSpec.constant(0, depths[0])
-    wit = cst_search(window, [trivial], depths[0], budget)
-    if wit is None:
-        return None
-    families = [list(wit.a_values)]
-    if c > 1:
-        families = _reindex_and_divide(families, c, lengths[0])
-
-    for r in range(1, m + 1):
-        width = len(families[0])
-        specs = []
-        for pattern in product(range(-p, p + 1), repeat=r):
-            terms = [
-                sum(pattern[j] * families[j][n] for j in range(r))
-                for n in range(width)
-            ]
-            rule = "combo:" + ",".join(str(i) for i in pattern)
-            specs.append(IPSystemSpec(rule, tuple(terms), 1))
-        wit = cst_search(window, specs, depths[r], budget)
+    families: list = []
+    for r in range(m + 1):
+        keep = family_depth * c ** (2 * (m - r))
+        rows = list(zip(*families)) or [()] * (keep * c)  # level 0: all zero
+        specs = [IPSystemSpec("combo:" + ",".join(map(str, pattern)),
+                              tuple(sum(map(mul, pattern, row)) for row in rows))
+                 for pattern in product(range(-p, p + 1), repeat=r)]
+        wit = cst_search(window, specs, keep * c, budget)
         if wit is None:
             return None
-        reindexed = []
-        for fam in families:
-            spec = IPSystemSpec.from_terms(fam)
-            reindexed.append([ip_term(spec, a) for a in wit.alphas])
-        reindexed.append(list(wit.a_values))
-        families = reindexed
+        families = _pull_back(families, wit.alphas) + [list(wit.a_values)]
         if c > 1:
-            families = _reindex_and_divide(families, c, lengths[r])
-
-    generators = tuple(fam[0] for fam in families)
-    system = generate_mpc(params, generators)
-    assert verify_mpc(window, params, generators)
-    return MpcFromCstResult(params, tuple(tuple(f) for f in families), system)
+            top = IPSystemSpec.from_terms(families[-1])
+            families = _pull_back(families, find_divisible_subsequence(top, c, keep))
+            assert all(v % c == 0 for v in families[-1])
+            families[-1] = [v // c for v in families[-1]]
+    system = generate_mpc(params, [fam[0] for fam in families])
+    assert verify_mpc(window, params, system.generators)
+    return MpcFromCstResult(params, tuple(map(tuple, families)), system)

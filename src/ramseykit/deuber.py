@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError, MpcExpansionError
+from .errors import BudgetExceededError, InputError, MpcExpansionError
+from .ipcore import FS_PREFIX_CAP
 from .windows import SetWindow
 
 
@@ -47,12 +48,20 @@ def iter_rows(
     params: MpcParams, generators: Sequence[int]
 ) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """Yield (level k, coefficient pattern (i_0..i_{k-1}), value) in the
-    deterministic order: levels ascending, patterns lexicographic."""
+    deterministic order: levels ascending, patterns lexicographic.  An
+    expansion of more than 2^FS_PREFIX_CAP rows is a budget error."""
     gens = list(generators)
     if len(gens) != params.m + 1:
         raise InputError(f"need {params.m + 1} generators, got {len(gens)}")
     if any((not isinstance(g, int)) or g < 1 for g in gens):
         raise InputError("generators must be positive integers")
+    # mpc_size(k, p) >= 3^k > 2^k, so comparing at k = min(m, cap) decides it
+    # without raising a huge m to a power
+    if mpc_size(min(params.m, FS_PREFIX_CAP), params.p) > 1 << FS_PREFIX_CAP:
+        raise BudgetExceededError(
+            f"the ({params.m}, {params.p}) expansion has more than "
+            f"2^{FS_PREFIX_CAP} rows"
+        )
     coeffs = range(-params.p, params.p + 1)
     for k in range(params.m + 1):
         lead = params.c * gens[k]

@@ -215,6 +215,21 @@ def fs_enumerate(spec: IPSystemSpec, k: int) -> SetWindow:
     return SetWindow.from_members(max(sums), sums)
 
 
+def _zero_run(values: Sequence[int], n: int) -> Optional[tuple[int, int]]:
+    """(i, j) for the first prefix sum that repeats a residue mod n, the
+    empty prefix counting as residue 0, so values[i:j] sums to a multiple of
+    n.  None when all len(values) + 1 residues differ, which needs
+    len(values) < n."""
+    seen = {0: 0}
+    acc = 0
+    for j, v in enumerate(values, start=1):
+        acc += v
+        i = seen.setdefault(acc % n, j)
+        if i != j:
+            return i, j
+    return None
+
+
 def find_divisible_subsequence(
     spec: IPSystemSpec, c: int, n: int
 ) -> list[FiniteIndexSet]:
@@ -234,20 +249,11 @@ def find_divisible_subsequence(
             f"horizon {spec.horizon} too small: need at least n*c = {n * c} terms"
         )
     out = []
-    for b in range(n):
-        start = b * c + 1
-        seen = {0: start - 1}  # residue of the empty prefix
-        acc = 0
-        hit = None
-        for t in range(start, start + c):
-            acc += spec.terms[t - 1]
-            r = acc % c
-            if r in seen:
-                hit = (seen[r] + 1, t)
-                break
-            seen[r] = t
-        assert hit is not None, "pigeonhole cannot fail within c+1 prefixes"
-        out.append(FiniteIndexSet(tuple(range(hit[0], hit[1] + 1))))
+    for start in range(0, n * c, c):
+        run = _zero_run(spec.terms[start:start + c], c)
+        assert run is not None, "pigeonhole cannot fail within c+1 prefixes"
+        i, j = run
+        out.append(FiniteIndexSet(tuple(range(start + i + 1, start + j + 1))))
     return out
 
 
@@ -264,16 +270,11 @@ def zero_sum_mod(xs: Sequence[int], n: int) -> Optional[tuple[int, ...]]:
     vals = list(xs)
     if not vals or any((not isinstance(v, int)) or v < 1 for v in vals):
         raise InputError("need a nonempty list of positive integers")
-    seen = {0: 0}
-    acc = 0
-    for j, v in enumerate(vals, start=1):
-        acc += v
-        r = acc % n
-        if r in seen:
-            return tuple(range(seen[r] + 1, j + 1))
-        seen[r] = j
-    # only reachable when len(vals) < n; every subset sum lies in [1, acc]
-    if acc < n:
+    run = _zero_run(vals, n)
+    if run is not None:
+        return tuple(range(run[0] + 1, run[1] + 1))
+    # only reachable when len(vals) < n; every subset sum lies in [1, sum]
+    if sum(vals) < n:
         return None
     tried = 0
     for size in range(1, len(vals) + 1):

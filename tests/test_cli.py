@@ -9,8 +9,10 @@ import pytest
 
 import ramseykit
 from ramseykit.cli import _build_parser, run
+from ramseykit.cst import mpc_from_cst
 from ramseykit.exactq import RationalMatrix
 from ramseykit.rado import ColumnsCertificate, verify_certificate
+from ramseykit.windows import SetWindow
 
 
 @pytest.fixture
@@ -234,6 +236,50 @@ def test_fs_prefix_over_the_cap_exits_two_before_building_the_rule(argv,
     assert json.loads(proc.stdout) == {
         "detail": "prefix length 9999 exceeds the 20 cap (2^k - 1 sums)",
         "verdict": "budget-exceeded"}
+
+
+def test_cst_mpc_reports_the_tower_generators(capsys):
+    rep = report(capsys, "cst", "mpc", "--set", "evens:400", "--m", "2",
+                 "--p", "2", "--c", "1")
+    result = mpc_from_cst(SetWindow.evens(400), 2, 2, 1)
+    assert rep["generators"] == list(result.system.generators) == [2, 6, 18]
+
+
+@pytest.mark.parametrize("argv, detail", [
+    # 3^19 / 2 rows, about 5.8e8: the expansion ran past 10 s
+    (("mpc", "gen", "--m", "18", "--p", "1", "--c", "1", "--generators",
+      ",".join(str(4 ** k) for k in range(19))),
+     "the (18, 1) expansion has more than 2^20 rows"),
+    (("mpc", "verify", "--set", "all:10", "--m", "18", "--p", "1", "--c", "1",
+      "--generators", ",".join(["1"] * 19)),
+     "the (18, 1) expansion has more than 2^20 rows"),
+    # building 9999 geometric terms took about 10.5 s before the refusal
+    (("cst", "search", "--set", "all:100", "--specs", "geom:9999,9999",
+      "--spec-horizon", "9999", "--depth", "1"),
+     "2^9999 candidate index sets per level is over budget"),
+], ids=["mpc-gen", "mpc-verify", "cst-search"])
+def test_over_cap_expansions_exit_two_at_once(argv, detail, tmp_path):
+    proc = fresh_run(tmp_path, *argv, timeout=5)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"detail": detail,
+                                       "verdict": "budget-exceeded"}
+
+
+def test_spec_horizon_refusal_keeps_the_earlier_verdicts(capsys):
+    """The early refusal sits where cst_search refuses level 0: a bad depth
+    and an empty window still come first, and a malformed rule with an
+    over-cap horizon is a budget error."""
+    base = ("cst", "search", "--specs", "const:1", "--spec-horizon", "9999")
+    code, _ = invoke(capsys, *base, "--set", "all:10", "--depth", "0")
+    assert code == 1
+    code, out = invoke(capsys, *base, "--set", "all:10", "--depth", "21")
+    assert code == 2 and "depth 21 exceeds" in out
+    code, out = invoke(capsys, "cst", "search", "--specs", "const:1",
+                       "--spec-horizon", "25", "--set", "mod:5,6,3", "--depth", "1")
+    assert code == 0 and json.loads(out)["verdict"] == "absent"
+    code, out = invoke(capsys, "cst", "search", "--specs", "bogus:1",
+                       "--spec-horizon", "25", "--set", "all:10", "--depth", "1")
+    assert code == 2 and "2^25 candidate index sets" in out
 
 
 def test_deeply_nested_product_exits_one_without_traceback(tmp_path):

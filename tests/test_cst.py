@@ -540,3 +540,46 @@ def test_search_results_hold_and_refutations_agree_with_brute_force(search):
     else:
         assert got.depth == depth
         assert verify_cst_witness(window, specs, got)
+
+
+@pytest.mark.parametrize("m, p, c, family_depth, detail", [
+    # level 0 searches to depth family_depth * c^(2m+1), past the cap here
+    (2, 1, 2, 1, "depth 32 exceeds the 20 cap"),
+    (2, 1, 2, 2, "depth 64 exceeds the 20 cap"),
+    (1, 1, 3, 1, "depth 27 exceeds the 20 cap"),
+    (1, 1, 3, 2, "depth 54 exceeds the 20 cap"),
+])
+def test_tower_schedule_refuses_level_zero_past_the_depth_cap(
+        m, p, c, family_depth, detail):
+    with pytest.raises(BudgetExceededError, match=f"^{detail}$"):
+        mpc_from_cst(SetWindow.full(300), m, p, c, family_depth=family_depth)
+
+
+@pytest.mark.parametrize("expr, m, p, c, family_depth, families", [
+    ("evens:400", 2, 2, 1, 1, ((2,), (6,), (18,))),
+    ("evens:400", 2, 2, 1, 2, ((2, 2), (6, 6), (18, 18))),
+    ("mod:0,3,900", 2, 1, 1, 2, ((3, 3), (6, 6), (12, 12))),
+    ("all:300", 1, 1, 2, 1, ((1,), (1,))),
+    ("all:300", 1, 1, 2, 2, ((1, 1), (1, 1))),
+    ("fs:arith:1,1,12", 1, 2, 2, 1, ((2,), (3,))),
+    ("fs:arith:1,1,12", 1, 2, 2, 2, ((2, 2), (3, 3))),
+    ("fs:geom:1,2,8", 0, 1, 3, 2, ((1, 1),)),
+])
+def test_tower_families_are_pinned(expr, m, p, c, family_depth, families):
+    """Exact families for m up to 2 and c up to 3, wherever the depth cap
+    lets level 0 through."""
+    window = SetWindow.from_expression(expr)
+    got = mpc_from_cst(window, m, p, c, family_depth=family_depth)
+    assert got.families == families
+    assert got.system.generators == tuple(fam[0] for fam in families)
+    assert verify_mpc(window, MpcParams(m, p, c), got.system.generators)
+
+
+@pytest.mark.parametrize("expr", ["mod:2,4,2000", "mod:1,3,900"])
+def test_tower_refutations_are_pinned(expr):
+    window = SetWindow.from_expression(expr)
+    assert mpc_from_cst(window, 2, 2, 1) is None
+    assert mpc_from_cst(window, 1, 1, 2) is None
+    with pytest.raises(BudgetExceededError,
+                       match="^witness search exceeded 5000000 candidates$"):
+        mpc_from_cst(window, 1, 1, 2, family_depth=2)

@@ -11,7 +11,7 @@ from ramseykit.deuber import (
     mpc_size,
     verify_mpc,
 )
-from ramseykit.errors import InputError, MpcExpansionError
+from ramseykit.errors import BudgetExceededError, InputError, MpcExpansionError
 from ramseykit.ipcore import IPSystemSpec, fs_enumerate
 from ramseykit.windows import SetWindow
 
@@ -41,6 +41,18 @@ def test_mpc_size():
         for p in range(1, 4):
             rows = list(iter_rows(MpcParams(m, p, 1), [1] * (m + 1)))
             assert len(rows) == mpc_size(m, p)
+
+
+def test_expansion_over_the_row_cap_is_a_budget_error():
+    """mpc_size(12, 1) = 797161 rows pass, mpc_size(13, 1) = 2391484 do
+    not; the generator checks come first, so a huge m with too few
+    generators is an input error and is never raised to a power."""
+    assert mpc_size(12, 1) <= 1 << 20 < mpc_size(13, 1)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^the \(13, 1\) expansion has more than 2\^20 rows$"):
+        generate_mpc(MpcParams(13, 1, 1), [1] * 14)
+    with pytest.raises(InputError, match="need 1000000001 generators"):
+        generate_mpc(MpcParams(10**9, 1, 1), [1])
 
 
 def test_generate_examples():
