@@ -156,9 +156,7 @@ def _mpc_find(args):
 
 
 def _fs_enum(args):
-    ipcore.check_fs_prefix(args.k)
-    spec = ipcore.IPSystemSpec.parse(args.spec, horizon=args.horizon or args.k)
-    return {"window": _window_payload(ipcore.fs_enumerate(spec, args.k))}
+    return {"window": _window_payload(ipcore.fs_window(args.spec, args.k))}
 
 
 def _fs_divisible(args):
@@ -232,8 +230,8 @@ def _cst_search(args):
     # refuse an over-cap horizon where cst_search would refuse level 0: past
     # its depth checks, on a nonempty window, but before the rules are built
     horizon = args.spec_horizon
-    if (horizon is not None and horizon > cstmod.DEPTH_CAP and window.members
-            and 1 <= args.depth <= cstmod.DEPTH_CAP):
+    if (horizon is not None and horizon > ipcore.FS_PREFIX_CAP and window.members
+            and 1 <= args.depth <= ipcore.FS_PREFIX_CAP):
         cstmod.check_level_width(horizon, args.budget)
     specs = _parse_specs(args.specs, horizon)
     witness = cstmod.cst_search(window, specs, args.depth, budget=args.budget)
@@ -291,12 +289,8 @@ FLAGS = {
     "family-depth": {"type": int, "default": 1},
 }
 
-# the two flags whose setting depends on the group: `fs` may leave out the
-# horizon (the prefix length stands in), and `cst` has its own budget
-GROUP_FLAGS = {
-    "fs": {"horizon": {"required": False}},
-    "cst": {"budget": {"default": cstmod.DEFAULT_CST_BUDGET}},
-}
+# the one flag whose setting depends on the group: `cst` has its own budget
+GROUP_FLAGS = {"cst": {"budget": {"default": cstmod.DEFAULT_CST_BUDGET}}}
 
 # (group, command, handler, flags, inputs the report echoes)
 COMMANDS = (
@@ -313,7 +307,7 @@ COMMANDS = (
     ("mpc", "verify", _mpc_verify, "m p c set generators",
      "set m p c generators"),
     ("mpc", "find", _mpc_find, "m p c set bound", "set m p c bound"),
-    ("fs", "enum", _fs_enum, "spec k horizon", "spec k"),
+    ("fs", "enum", _fs_enum, "spec k", "spec k"),
     ("fs", "divisible", _fs_divisible, "spec horizon modulus count",
      "spec modulus count"),
     ("fs", "zerosum", _fs_zerosum, "values modulus", "values modulus"),

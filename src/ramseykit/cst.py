@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .deuber import MpcParams, MpcSystem, generate_mpc, verify_mpc
 from .errors import BudgetExceededError, InputError, json_int
 from .ipcore import (
+    FS_PREFIX_CAP,
     FiniteIndexSet,
     IPSystemSpec,
     alpha_less,
@@ -33,7 +34,6 @@ from .ipcore import (
 from .windows import SetWindow
 
 DEFAULT_CST_BUDGET = 5_000_000
-DEPTH_CAP = 20  # 2^k - 1 subset sums per system
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,10 @@ def _live_terms(b: int, probed: int) -> int:
 
 
 def check_level_width(width: int, budget: int) -> None:
-    """Refuse a level of 2^width - 1 candidate index sets past DEPTH_CAP or
+    """Refuse a level of 2^width - 1 candidate index sets past FS_PREFIX_CAP or
     the budget.  Callers that parse rules at horizon `width` check first,
     since building the rules alone can take seconds."""
-    if width > DEPTH_CAP or (1 << width) - 1 > budget:
+    if width > FS_PREFIX_CAP or (1 << width) - 1 > budget:
         raise BudgetExceededError(
             f"2^{width} candidate index sets per level is over budget"
         )
@@ -166,8 +166,8 @@ def cst_search(
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
-    if depth > DEPTH_CAP:
-        raise BudgetExceededError(f"depth {depth} exceeds the {DEPTH_CAP} cap")
+    if depth > FS_PREFIX_CAP:
+        raise BudgetExceededError(f"depth {depth} exceeds the {FS_PREFIX_CAP} cap")
     horizon = _common_horizon(specs)
     members = window.mask
     p = len(specs)
@@ -319,8 +319,8 @@ def verify_cst_witness(
     horizon = _common_horizon(specs)
     if len(specs) != witness.system_count:
         raise InputError("system count does not match the witness")
-    if witness.depth > DEPTH_CAP:
-        raise BudgetExceededError(f"depth {witness.depth} exceeds the {DEPTH_CAP} cap")
+    if witness.depth > FS_PREFIX_CAP:
+        raise BudgetExceededError(f"depth {witness.depth} exceeds the {FS_PREFIX_CAP} cap")
     if any(a.largest() > horizon for a in witness.alphas):
         raise InputError("witness index set beyond the spec horizon")
     for i in range(len(witness.alphas) - 1):
@@ -380,7 +380,7 @@ def mpc_from_cst(
     can break residue compatibility (on the even numbers with c = 2, halved
     values turn odd), and the cure is index sets summing several family
     members, which needs spare length.  Level 0's depth thus passes
-    DEPTH_CAP, a budget error before any search, already at family_depth 1
+    FS_PREFIX_CAP, a budget error before any search, already at family_depth 1
     once c = 2 and m >= 2, or c >= 3 and m >= 1.
     """
     params = MpcParams(m, p, c)

@@ -329,6 +329,8 @@ def _shift_system(rest: str) -> ShiftSystem:
 
 
 def _product_system(rest: str) -> ProductSystem:
+    # the components are rotations or shifts: a product component would
+    # bring a second `;`, which `pair` refuses
     inner = rest.strip()
     if not (inner.startswith("(") and inner.endswith(")")):
         raise InputError("product systems look like prod:(sysA;sysB)")

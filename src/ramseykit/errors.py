@@ -1,8 +1,6 @@
 """Shared exception types and the input boundary: the one reader of input
 text files, the integer check for JSON payloads, and the `kind:fields` reader."""
 
-NEST_CAP = 100  # products nest at most this deep (`pair` never sees the outer level)
-
 
 class InputError(ValueError):
     """Malformed or out-of-contract input."""
@@ -81,14 +79,8 @@ def expression(text: str, kinds: dict, what: str, *extra):
 
 
 def pair(text: str, what: str) -> tuple[str, str]:
-    """The two sides of the one `;` of `text` outside parentheses."""
-    depth, cuts = 0, []
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if depth >= NEST_CAP:
-            raise InputError(f"{what}s nest more than {NEST_CAP} deep")
-        if ch == ";" and depth == 0:
-            cuts.append(i)
-    if len(cuts) != 1:
+    """The two sides of the one `;` of `text`."""
+    if text.count(";") != 1:
         raise InputError(f"{what}s look like A;B, got {text!r}")
-    return text[:cuts[0]], text[cuts[0] + 1:]
+    first, _, second = text.partition(";")
+    return first, second

@@ -9,7 +9,8 @@ downstream produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, islice, repeat
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, InputError, expression, fields
@@ -20,7 +21,8 @@ from .windows import SetWindow
 # not a representation.
 INDEX_CAP = 64
 
-# Enumerating all finite sums of a k-prefix costs 2^k - 1 set insertions.
+# A k-prefix has 2^k - 1 nonempty index sets: the cap on every enumeration
+# of subset sums (fs windows, cst levels, zero-sum search, mpc rows).
 FS_PREFIX_CAP = 20
 
 Term = Union[int, tuple]
@@ -141,11 +143,9 @@ class IPSystemSpec:
     def geometric(cls, start: int, ratio: int, horizon: int) -> "IPSystemSpec":
         if ratio == 0:
             raise InputError("geometric ratio must be nonzero")
-        return cls(
-            f"geom:{start},{ratio}",
-            tuple(start * ratio**n for n in range(horizon)),
-            1,
-        )
+        # start * ratio**n by one multiplication per term, not one power each
+        terms = accumulate(repeat(ratio), mul, initial=start)
+        return cls(f"geom:{start},{ratio}", tuple(islice(terms, max(horizon, 0))), 1)
 
     @classmethod
     def parse(cls, text: str, horizon: Optional[int] = None) -> "IPSystemSpec":
@@ -194,8 +194,7 @@ def finite_sums(terms: Iterable[int]) -> set:
 
 
 def check_fs_prefix(k: int) -> None:
-    """Refuse a prefix over FS_PREFIX_CAP; callers that parse a rule at
-    horizon k check first, since building the rule alone can take seconds."""
+    """Refuse a prefix over FS_PREFIX_CAP."""
     if k > FS_PREFIX_CAP:
         raise BudgetExceededError(
             f"prefix length {k} exceeds the {FS_PREFIX_CAP} cap (2^k - 1 sums)"
@@ -213,6 +212,13 @@ def fs_enumerate(spec: IPSystemSpec, k: int) -> SetWindow:
     if min(sums) < 1:
         raise InputError("finite sums leave the positive integers; no window")
     return SetWindow.from_members(max(sums), sums)
+
+
+def fs_window(rule: str, k: int) -> SetWindow:
+    """The finite sums of the first k terms of `rule`, parsed at horizon k.
+    The cap is checked first, since building the rule alone can take seconds."""
+    check_fs_prefix(k)
+    return fs_enumerate(IPSystemSpec.parse(rule, horizon=k), k)
 
 
 def _zero_run(values: Sequence[int], n: int) -> Optional[tuple[int, int]]:

@@ -120,10 +120,9 @@ def _fs_window(rest: str) -> SetWindow:
     if not rule:
         raise InputError("fs expression needs a rule and a prefix length")
     (k,) = fields(ktext, (int,), "fs prefix length")
-    from .ipcore import IPSystemSpec, check_fs_prefix, fs_enumerate
+    from .ipcore import fs_window
 
-    check_fs_prefix(k)
-    return fs_enumerate(IPSystemSpec.parse(rule, horizon=k), k)
+    return fs_window(rule, k)
 
 
 _SET_KINDS = {

@@ -27,7 +27,7 @@ from ramseykit.dynsets import (
     strauss_witnesses_hold,
     syndetic_gap,
 )
-from ramseykit.errors import NEST_CAP, BudgetExceededError, InputError
+from ramseykit.errors import BudgetExceededError, InputError
 from ramseykit.ipcore import IPSystemSpec, zero_sum_mod
 from ramseykit.rado import solve_in_cell
 from ramseykit.exactq import RationalMatrix
@@ -270,21 +270,21 @@ def test_parse_round_trips():
         parse_system("wat:1")
     with pytest.raises(InputError):
         parse_target(sys_a, "cyl:01")
-    # a product of products parses, and so do the points and targets of its
-    # product components
-    nested = parse_system("prod:(prod:(rot:1/2;shift:0110);prod:(rot:1/3;rot:2/5))")
-    assert nested == ProductSystem(
-        ProductSystem(RotationSystem(F(1, 2)), ShiftSystem("0110")),
-        ProductSystem(RotationSystem(F(1, 3)), RotationSystem(F(2, 5))))
-    assert parse_point(nested.first, " 1/4 ; 2") == (F(1, 4), 2)
-    assert parse_point(nested.second, "0;1/5") == (F(0), F(1, 5))
-    assert parse_target(nested.first, "carc:0,1/4;cyl:01") == ProductTarget(
+    # a product's components are rotations or shifts: a product of products
+    # is refused by its shape, its second `;`
+    for text in ("prod:(prod:(rot:1/2;shift:0110);prod:(rot:1/3;rot:2/5))",
+                 "prod:(prod:(rot:1/2;shift:0110);rot:1/3)",
+                 "prod:(rot:1/3;prod:(rot:1/2;shift:0110))"):
+        with pytest.raises(InputError, match="look like A;B"):
+            parse_system(text)
+    mixed = parse_system("prod:(rot:1/2;shift:0110)")
+    assert parse_point(mixed, " 1/4 ; 2") == (F(1, 4), 2)
+    assert parse_target(mixed, "carc:0,1/4;cyl:01") == ProductTarget(
         Arc(F(0), F(1, 4)), Cylinder("01"))
-    # a point of the whole has no spelling: a pair holds one `;` outside
-    # parentheses, and a parenthesised half is not a point
-    for text in ("1/4;2;0;1/5", "(1/4;2);(0;1/5)"):
+    # a point holds one `;`, and a parenthesised half is not a point
+    for text in ("1/4;2;0;1/5", "(1/4;2);(0;1/5)", "(1/4;2)"):
         with pytest.raises(InputError):
-            parse_point(nested, text)
+            parse_point(mixed, text)
     # list rules: the horizon may not exceed the list, and does not cut it
     assert IPSystemSpec.parse("list:3,-1,4") == IPSystemSpec("list:3,-1,4", (3, -1, 4))
     assert IPSystemSpec.parse(" list:3,-1,4 ", horizon=2).terms == (3, -1, 4)
@@ -309,12 +309,16 @@ def _nested_products(depth: int) -> str:
 
 
 def test_product_nesting_is_capped():
-    """Products recurse once per level, so nesting past NEST_CAP is an
-    input error rather than a RecursionError."""
-    assert isinstance(parse_system(_nested_products(NEST_CAP)), ProductSystem)
-    for depth in (NEST_CAP + 1, 1500):
-        with pytest.raises(InputError, match=f"nest more than {NEST_CAP} deep"):
+    """A product's components are rotations or shifts.  A nested product
+    holds a second `;`, so it is an input error at every depth, before any
+    component is parsed, rather than a RecursionError."""
+    assert isinstance(parse_system(_nested_products(1)), ProductSystem)
+    for depth in (2, 3, 100, 1500):
+        with pytest.raises(InputError, match="product systems look like A;B"):
             parse_system(_nested_products(depth))
+    # a product component without a `;` of its own is no product either
+    with pytest.raises(InputError):
+        parse_system("prod:(prod:(rot:1/2);rot:1/3)")
 
 
 KIND_NAMES = ["all", "odds", "evens", "mod", "file", "fs", "const", "arith",

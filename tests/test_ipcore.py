@@ -154,6 +154,22 @@ def test_zero_sum_random_guarantee():
         assert list(got) == sorted(set(got))
 
 
+def test_geometric_terms_are_powers():
+    """Terms built by one multiplication each equal start * ratio**n; a
+    horizon below 1 leaves no term, which is an input error."""
+    rng = random.Random(23)
+    for horizon in range(-1, 31):
+        for _ in range(8):
+            start = rng.randint(-10**6, 10**6)
+            ratio = rng.choice([r for r in range(-40, 41) if r])
+            if horizon < 1:
+                with pytest.raises(InputError, match="at least one generator term"):
+                    IPSystemSpec.geometric(start, ratio, horizon)
+            else:
+                assert IPSystemSpec.geometric(start, ratio, horizon).terms == tuple(
+                    start * ratio**n for n in range(horizon))
+
+
 def test_spec_parsing():
     assert IPSystemSpec.parse("const:2", horizon=4).terms == (2, 2, 2, 2)
     assert IPSystemSpec.parse("arith:3,2", horizon=4).terms == (3, 5, 7, 9)
