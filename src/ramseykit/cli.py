@@ -348,7 +348,7 @@ def _build_parser() -> _Parser:
         for flag in flags.split():
             sub.add_argument(f"--{flag}",
                              **{**FLAGS[flag], **overrides.get(flag, {})})
-        sub.set_defaults(handler=handler, echo=echo.split())
+        sub.set_defaults(handler=handler, echo=echo.split(), parser=sub)
     return parser
 
 
@@ -364,7 +364,9 @@ def _emit(report: dict, plain: bool) -> None:
 def run(argv) -> int:
     started = time.monotonic()
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # under the subcommand's usage, not the top-level one
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.threads < 1:
             raise InputError("--threads must be >= 1")
         report = {

@@ -41,14 +41,6 @@ class Arc:
             raise InputError("arc interval needs hi > lo")
         return cls((lo + hi) / 2, (hi - lo) / 2)
 
-    def classify(self, point: Fraction) -> tuple[bool, bool]:
-        """(member, boundary_hit) for a point of [0,1)."""
-        span = 2 * self.radius
-        if span >= 1:
-            return True, False
-        offset = (point - (self.center - self.radius)) % 1
-        return offset < span, offset == 0 or offset == span
-
 
 @dataclass(frozen=True)
 class Cylinder:
@@ -79,16 +71,25 @@ class RotationSystem:
     def __post_init__(self):
         object.__setattr__(self, "angle", as_rational(self.angle) % 1)
 
-    def start(self, point) -> Fraction:
-        return as_rational(point) % 1
-
-    def advance(self, state: Fraction) -> Fraction:
-        return (state + self.angle) % 1
-
-    def classify(self, state: Fraction, target) -> tuple[bool, bool]:
+    def returns(self, point, target, horizon: int) -> tuple[list, list]:
+        """(hits, boundary_hits) of the orbit of `point` in the arc `target`:
+        a time is a hit when its offset from the arc's left end is below
+        the width, and a boundary hit when it sits on either end."""
+        point = as_rational(point)
         if not isinstance(target, Arc):
             raise InputError("rotation targets must be arcs")
-        return target.classify(state)
+        width = 2 * target.radius
+        if width >= 1:
+            return list(range(1, horizon + 1)), []
+        offset = (point - (target.center - target.radius)) % 1
+        hits, flagged = [], []
+        for n in range(1, horizon + 1):
+            offset = (offset + self.angle) % 1
+            if offset < width:
+                hits.append(n)
+            if offset == 0 or offset == width:
+                flagged.append(n)
+        return hits, flagged
 
 
 @dataclass(frozen=True)
@@ -102,23 +103,18 @@ class ShiftSystem:
         if not self.symbols or any(ch not in "01" for ch in self.symbols):
             raise InputError("shift sequence must be a nonempty 0/1 string")
 
-    def start(self, point) -> int:
+    def returns(self, point, target, horizon: int) -> tuple[list, list]:
+        """(hits, no boundary hits): cylinders are clopen."""
         if not isinstance(point, int) or point < 0:
             raise InputError("shift points are nonnegative offsets")
-        return point
-
-    def advance(self, state: int) -> int:
-        return state + 1
-
-    def classify(self, state: int, target) -> tuple[bool, bool]:
         if not isinstance(target, Cylinder):
             raise InputError("shift targets must be cylinders")
-        end = state + len(target.symbols)
-        if end > len(self.symbols):
+        if point + horizon + len(target.symbols) > len(self.symbols):
             raise InputError(
                 "stored sequence too short for the requested horizon"
             )
-        return self.symbols[state:end] == target.symbols, False
+        return [n for n in range(1, horizon + 1)
+                if self.symbols.startswith(target.symbols, point + n)], []
 
 
 @dataclass(frozen=True)
@@ -126,21 +122,18 @@ class ProductSystem:
     first: object
     second: object
 
-    def start(self, point) -> tuple:
+    def returns(self, point, target, horizon: int) -> tuple[list, list]:
+        """The times both components return, flagged when either component
+        sat on an endpoint."""
         if not isinstance(point, (tuple, list)) or len(point) != 2:
             raise InputError("product points are pairs")
-        return (self.first.start(point[0]), self.second.start(point[1]))
-
-    def advance(self, state: tuple) -> tuple:
-        return (self.first.advance(state[0]), self.second.advance(state[1]))
-
-    def classify(self, state: tuple, target) -> tuple[bool, bool]:
         if not isinstance(target, ProductTarget):
             raise InputError("product targets must be target pairs")
-        m1, b1 = self.first.classify(state[0], target.first)
-        m2, b2 = self.second.classify(state[1], target.second)
-        # flag whenever either component decision sat on an endpoint
-        return m1 and m2, b1 or b2
+        hits1, flagged1 = self.first.returns(point[0], target.first, horizon)
+        hits2, flagged2 = self.second.returns(point[1], target.second, horizon)
+        both = set(hits2)
+        return ([n for n in hits1 if n in both],
+                sorted(set(flagged1).union(flagged2)))
 
 
 @dataclass(frozen=True)
@@ -158,16 +151,7 @@ def orbit_hits(system, point, target, horizon: int) -> OrbitResult:
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    state = system.start(point)
-    hits = []
-    flagged = []
-    for n in range(1, horizon + 1):
-        state = system.advance(state)
-        member, boundary = system.classify(state, target)
-        if member:
-            hits.append(n)
-        if boundary:
-            flagged.append(n)
+    hits, flagged = system.returns(point, target, horizon)
     return OrbitResult(SetWindow(horizon, tuple(hits)), tuple(flagged))
 
 

@@ -52,6 +52,17 @@ def json_int(value) -> int:
     return value
 
 
+QUOTE_CAP = 80
+
+
+def quote(text: str) -> str:
+    """`text` quoted for a message: verbatim up to QUOTE_CAP characters, else
+    its first QUOTE_CAP characters and the full length."""
+    if len(text) <= QUOTE_CAP:
+        return repr(text)
+    return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
+
+
 def fields(text: str, converters, what: str) -> tuple:
     """The comma-separated fields of `text`, one per converter in a tuple or any
     number through one converter.  A wrong count or refused field is an InputError."""
@@ -59,11 +70,11 @@ def fields(text: str, converters, what: str) -> tuple:
     if callable(converters):
         converters = (converters,) * len(parts)
     if len(parts) != len(converters):
-        raise InputError(f"{what}s look like {len(converters)} values, got {text!r}")
+        raise InputError(f"{what}s look like {len(converters)} values, got {quote(text)}")
     try:
         return tuple(convert(part) for convert, part in zip(converters, parts))
     except ValueError as exc:
-        raise InputError(f"bad {what} {text!r}: {exc}") from exc
+        raise InputError(f"bad {what} {quote(text)}: {exc}") from exc
 
 
 def expression(text: str, kinds: dict, what: str, *extra):
@@ -71,7 +82,7 @@ def expression(text: str, kinds: dict, what: str, *extra):
     the raw rest if converters is None, else the converted fields, then `extra`."""
     kind, _, rest = text.strip().partition(":")
     if kind not in kinds:
-        raise InputError(f"unknown {what} kind: {kind!r}")
+        raise InputError(f"unknown {what} kind: {quote(kind)}")
     converters, build = kinds[kind]
     if converters is None:
         return build(rest, *extra)
@@ -81,6 +92,6 @@ def expression(text: str, kinds: dict, what: str, *extra):
 def pair(text: str, what: str) -> tuple[str, str]:
     """The two sides of the one `;` of `text`."""
     if text.count(";") != 1:
-        raise InputError(f"{what}s look like A;B, got {text!r}")
+        raise InputError(f"{what}s look like A;B, got {quote(text)}")
     first, _, second = text.partition(";")
     return first, second

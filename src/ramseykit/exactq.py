@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, quote
 
 # The rational scalar type used across the toolkit.
 Rational = Fraction
@@ -30,11 +30,11 @@ def as_rational(value) -> Fraction:
         # on; refusing both inside the literal keeps one spelling everywhere
         text = value.strip()
         if "_" in text or any(ch.isspace() for ch in text):
-            raise InputError(f"not a rational literal: {value!r}")
+            raise InputError(f"not a rational literal: {quote(value)}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational literal: {value!r}") from exc
+            raise InputError(f"not a rational literal: {quote(value)}") from exc
     raise InputError(f"exact rational required, got {type(value).__name__}")
 
 
@@ -161,6 +161,21 @@ def rank(matrix: RationalMatrix) -> int:
     return len(_forward_eliminate(grid, matrix.cols))
 
 
+def _reduce(grid: list[list[Fraction]], width: int) -> list[int]:
+    """RREF in place over the first `width` columns; returns the pivots."""
+    pivots = _forward_eliminate(grid, width)
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        pv = grid[r][col]
+        grid[r] = [v / pv for v in grid[r]]
+        for rr in range(r):
+            factor = grid[rr][col]
+            if factor == 0:
+                continue
+            grid[rr] = [a - factor * b for a, b in zip(grid[rr], grid[r])]
+    return pivots
+
+
 def reduced_row_echelon(
     matrix: RationalMatrix,
 ) -> tuple[list[list[Fraction]], list[int]]:
@@ -171,17 +186,7 @@ def reduced_row_echelon(
     rows[r][c] * x[c].
     """
     grid = [list(matrix.row(i)) for i in range(matrix.rows)]
-    pivots = _forward_eliminate(grid, matrix.cols)
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        pv = grid[r][col]
-        grid[r] = [v / pv for v in grid[r]]
-        for rr in range(r):
-            factor = grid[rr][col]
-            if factor == 0:
-                continue
-            grid[rr] = [a - factor * b for a, b in zip(grid[rr], grid[r])]
-    return grid, pivots
+    return grid, _reduce(grid, matrix.cols)
 
 
 def solve_linear(
@@ -196,18 +201,12 @@ def solve_linear(
         raise InputError("right-hand side length does not match row count")
     b = [as_rational(v) for v in rhs]
     grid = [list(matrix.row(i)) + [b[i]] for i in range(matrix.rows)]
-    pivots = _forward_eliminate(grid, matrix.cols)
-    for r in range(len(pivots), matrix.rows):
-        if grid[r][matrix.cols] != 0:
-            return None
+    pivots = _reduce(grid, matrix.cols)
+    if any(grid[r][-1] != 0 for r in range(len(pivots), matrix.rows)):
+        return None
     x = [Fraction(0)] * matrix.cols
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        acc = grid[r][matrix.cols]
-        for cc in range(col + 1, matrix.cols):
-            if grid[r][cc] != 0:
-                acc -= grid[r][cc] * x[cc]
-        x[col] = acc / grid[r][col]
+    for r, col in enumerate(pivots):
+        x[col] = grid[r][-1]
     return x
 
 

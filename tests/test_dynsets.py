@@ -127,6 +127,98 @@ def test_product_diagonal_identity():
         assert single.window == double.window
 
 
+def rotation_oracle(angle, point, lo, width):
+    """(member, boundary) at time n of a rotation, from the closed form
+    (x + n*angle - lo) mod 1 rather than by stepping."""
+    def at(n):
+        if width >= 1:
+            return True, False
+        offset = (point + n * angle - lo) % 1
+        return offset < width, offset in (0, width)
+    return at
+
+
+def shift_oracle(symbols, point, cylinder):
+    return lambda n: (symbols[point + n:point + n + len(cylinder)] == cylinder, False)
+
+
+def _random_fraction(rng, scale):
+    q = rng.randint(1, 12)
+    return F(rng.randint(-scale * q, scale * q), q)
+
+
+def _random_component(rng, horizon):
+    """(system, point, target, oracle) for a seeded rotation or shift."""
+    if rng.random() < 0.5:
+        angle, point = _random_fraction(rng, 3), _random_fraction(rng, 2)
+        a, b = _random_fraction(rng, 1), F(rng.randint(1, 14), rng.randint(1, 12))
+        if rng.random() < 0.5:
+            target, lo, width = f"arc:{a},{a + b}", a, b
+        else:  # a radius of 1/2 or more covers the circle
+            target, lo, width = f"carc:{a},{b / 2}", a - b / 2, b
+        system = RotationSystem(angle)
+        oracle = rotation_oracle(angle, point, lo, width)
+    else:
+        cylinder = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
+        point = rng.randint(0, 5)
+        symbols = "".join(rng.choice("01")
+                          for _ in range(point + horizon + len(cylinder)))
+        system, target = ShiftSystem(symbols), f"cyl:{cylinder}"
+        oracle = shift_oracle(symbols, point, cylinder)
+    return system, point, parse_target(system, target), oracle
+
+
+def _expected(oracle, horizon):
+    marks = [(n, *oracle(n)) for n in range(1, horizon + 1)]
+    return (tuple(n for n, member, _ in marks if member),
+            tuple(n for n, _, boundary in marks if boundary))
+
+
+def test_rotations_match_the_closed_form():
+    """Negative and greater-than-1 angles, nonzero points, `arc:` and `carc:`
+    targets, widths of 1 or more included."""
+    rng = random.Random(41)
+    for _ in range(300):
+        horizon = rng.randint(1, 60)
+        system, point, target, oracle = _random_component(rng, horizon)
+        if not isinstance(system, RotationSystem):
+            continue
+        res = orbit_hits(system, point, target, horizon)
+        assert (res.window.members, res.boundary_hits) == _expected(oracle, horizon)
+
+
+def test_products_and_and_or_their_components():
+    """rot x rot, rot x shift and shift x shift: a product's hits are the
+    per-n AND of its components and its boundary hits the per-n OR."""
+    rng = random.Random(42)
+    for _ in range(300):
+        horizon = rng.randint(1, 60)
+        sys_a, x, u, first = _random_component(rng, horizon)
+        sys_b, y, v, second = _random_component(rng, horizon)
+
+        def both(n):
+            (m1, b1), (m2, b2) = first(n), second(n)
+            return m1 and m2, b1 or b2
+        res = product_return_times(sys_a, sys_b, x, y, (u, v), horizon)
+        assert (res.window.members, res.boundary_hits) == _expected(both, horizon)
+
+
+def test_invalid_orbit_inputs_are_input_errors():
+    arc, cyl = Arc(F(0), F(1, 4)), Cylinder("1")
+    rot, shift = RotationSystem(F(1, 3)), ShiftSystem("0110")
+    # the full circle hits every time, but only after the point is checked
+    with pytest.raises(InputError, match="exact rational"):
+        orbit_hits(rot, 0.5, Arc(F(0), F(1)), 5)
+    with pytest.raises(InputError, match="too short"):
+        product_return_times(rot, shift, 0, 0, (arc, cyl), 10)
+    with pytest.raises(InputError, match="nonnegative"):
+        orbit_hits(shift, -1, cyl, 2)
+    product = ProductSystem(rot, shift)
+    for point in (0, (0,), (0, 0, 0)):
+        with pytest.raises(InputError, match="pairs"):
+            orbit_hits(product, point, ProductTarget(arc, cyl), 2)
+
+
 # --- density / gaps / piecewise syndetic ------------------------------------
 
 def test_density_examples():
