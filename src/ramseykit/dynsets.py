@@ -31,6 +31,8 @@ class Arc:
     radius: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "center", as_rational(self.center))
+        object.__setattr__(self, "radius", as_rational(self.radius))
         if self.radius <= 0:
             raise InputError("arc radius must be positive")
 

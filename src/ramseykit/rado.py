@@ -87,9 +87,6 @@ class Coloring:
                for c in self.colors):
             raise InputError("color indices must lie in 0..r-1")
 
-    def color_of(self, n: int) -> int:
-        return self.colors[n - 1]
-
     def cells(self) -> list[tuple[int, ...]]:
         out = [[] for _ in range(self.color_count)]
         for n, c in enumerate(self.colors, start=1):
@@ -125,8 +122,7 @@ class SolutionVector:
 
 @dataclass(frozen=True)
 class EmpiricalResult:
-    # verdict is "forced" or "witness" for the exhaustive oracle;
-    # "inconclusive" is reserved for future sampling backends
+    # verdict is "forced" or "witness"
     verdict: str
     witness: Optional[Coloring]
     nontrivial: bool
@@ -266,6 +262,53 @@ def default_nontrivial(matrix: RationalMatrix) -> bool:
     return all(sum(matrix.row(i)) == 0 for i in range(matrix.rows))
 
 
+def _solution_shells(matrix, horizon, members, nontrivial, distinct):
+    """Positive solutions of A x = 0 inside the window, one list (shell)
+    per window element n, in order: those whose last free coordinate in
+    window order is n.  Fixing the first free position that holds n tries
+    each free tuple once.  The rational kernel is parametrized by the free
+    columns of the RREF; free coordinates run over the window, pivot
+    coordinates are forced and checked for integrality and membership.
+    Each pivot row is scaled by the lcm of its denominators, so the
+    arithmetic is exact on integers."""
+    q = matrix.cols
+    rref, pivots = reduced_row_echelon(matrix)
+    pivot_set = set(pivots)
+    frees = [c for c in range(q) if c not in pivot_set]
+    if not frees:
+        return  # trivial kernel: no positive solutions
+    domain = list(members) if members is not None else range(1, horizon + 1)
+    allowed = set(domain) if members is not None else domain  # a range needs no set
+    pivot_rows = []  # (pivot column, scale, [(index into frees, -scale * entry)])
+    for r, pcol in enumerate(pivots):
+        row = rref[r]
+        scale = lcm(*(row[f].denominator for f in frees))
+        pivot_rows.append((pcol, scale, [(i, int(-row[f] * scale))
+                                         for i, f in enumerate(frees) if row[f]]))
+    width = len(frees)
+    x = [0] * q
+    for k, n in enumerate(domain):
+        # a list slice costs O(k), so one free column takes none
+        below, upto = (domain[:k], domain[:k + 1]) if width > 1 else ((), ())
+        shell = []
+        for j in range(width):
+            for free_values in product(*[below] * j, (n,), *[upto] * (width - j - 1)):
+                for pcol, scale, terms in pivot_rows:
+                    v, rem = divmod(sum(a * free_values[i] for i, a in terms), scale)
+                    if rem or v < 1 or v > horizon or v not in allowed:
+                        break
+                    x[pcol] = v
+                else:
+                    for f, v in zip(frees, free_values):
+                        x[f] = v
+                    if nontrivial and len(set(x)) == 1:
+                        continue
+                    if distinct and len(set(x)) != q:
+                        continue
+                    shell.append(tuple(x))
+        yield shell
+
+
 def enumerate_solutions(
     matrix: RationalMatrix,
     horizon: int,
@@ -273,46 +316,11 @@ def enumerate_solutions(
     nontrivial: bool = False,
     distinct: bool = False,
 ) -> list[tuple[int, ...]]:
-    """All positive solutions of A x = 0 inside the window.
-
-    The rational kernel is parametrized by the free columns of the RREF;
-    free coordinates run over the window, pivot coordinates are forced and
-    checked for integrality and membership.  Each pivot row is scaled by
-    the lcm of its denominators, so the arithmetic is exact on integers.
-    """
+    """All positive solutions of A x = 0 inside the window, shell by shell."""
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    q = matrix.cols
-    rref, pivots = reduced_row_echelon(matrix)
-    pivot_set = set(pivots)
-    frees = [c for c in range(q) if c not in pivot_set]
-    if not frees:
-        return []  # trivial kernel: no positive solutions
-    domain = list(members) if members is not None else range(1, horizon + 1)
-    allowed = set(domain)
-    pivot_rows = []  # (pivot column, scale, [(index into frees, -scale * entry)])
-    for r, pcol in enumerate(pivots):
-        row = rref[r]
-        scale = lcm(*(row[f].denominator for f in frees))
-        pivot_rows.append((pcol, scale, [(i, int(-row[f] * scale))
-                                         for i, f in enumerate(frees) if row[f]]))
-    sols: list[tuple[int, ...]] = []
-    x = [0] * q
-    for free_values in product(domain, repeat=len(frees)):
-        for pcol, scale, terms in pivot_rows:
-            v, rem = divmod(sum(a * free_values[i] for i, a in terms), scale)
-            if rem or v < 1 or v > horizon or v not in allowed:
-                break
-            x[pcol] = v
-        else:
-            for f, v in zip(frees, free_values):
-                x[f] = v
-            if nontrivial and len(set(x)) == 1:
-                continue
-            if distinct and len(set(x)) != q:
-                continue
-            sols.append(tuple(x))
-    return sols
+    return list(chain.from_iterable(
+        _solution_shells(matrix, horizon, members, nontrivial, distinct)))
 
 
 def solve_in_cell(
@@ -338,21 +346,23 @@ def solve_in_cell(
     return SolutionVector(best)
 
 
-def _coloring_search(level, colors: int, horizon: int, budget: int) -> list[int]:
+def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
     """Lexicographically least coloring of the longest solution-free
     prefix [1..n], n <= horizon, with color(1) pinned to 0.
 
-    Depth-first with an explicit cursor: depth n tries color c next.
-    level(n), asked once when the search first reaches n, gives the
-    solutions whose largest entry is n; n may not take color c when all
-    the other entries of one of them have color c.  Every tried color
-    counts one node against the budget.  The record prefix is copied only
-    when the search backtracks into the record depth.
+    Depth-first with an explicit cursor: depth n tries color c next.  On
+    first reaching n it files shell n's solutions under their largest
+    entries, which completes level n, so a search that stops early lists
+    no more; n may not take color c when all the other entries of a
+    level-n solution have color c.  Every tried color counts one node
+    against the budget; the record prefix is copied only when the search
+    backtracks into the record depth.
     """
+    shells = _solution_shells(matrix, horizon, None, nontrivial, distinct)
     coloring = [0] * (horizon + 1)  # coloring[k] is the color of k
-    levels: list = [()]  # levels[n]: each solution's entries other than n
+    levels: dict = {}  # levels[n]: each solution's entries other than n
     record: list[int] = []
-    deepest = ticks = 0
+    deepest = pulled = ticks = 0
     n, c = 1, 0
     while 0 < n <= horizon:
         if c == (1 if n == 1 else colors):  # every color failed: backtrack
@@ -364,9 +374,11 @@ def _coloring_search(level, colors: int, horizon: int, budget: int) -> list[int]
         ticks += 1
         if ticks > budget:
             raise BudgetExceededError(f"coloring search exceeded {budget} nodes")
-        if n == len(levels):
-            levels.append({tuple(sorted(set(s) - {n})) for s in level(n)})
-        for entries in levels[n]:
+        if n > pulled:
+            pulled = n
+            for s in next(shells, ()):
+                levels.setdefault(max(s), set()).add(tuple(sorted(set(s))[:-1]))
+        for entries in levels.get(n, ()):
             for v in entries:
                 if coloring[v] != c:
                     break
@@ -395,13 +407,11 @@ def empirical_pr(
     """
     if colors < 1:
         raise InputError("need at least one color")
+    if horizon < 1:
+        raise InputError("horizon must be >= 1")
     if nontrivial is None:
         nontrivial = default_nontrivial(matrix)
-    by_max: list[list[tuple[int, ...]]] = [[] for _ in range(horizon + 1)]
-    for sol in enumerate_solutions(matrix, horizon, nontrivial=nontrivial,
-                                   distinct=distinct):
-        by_max[max(sol)].append(sol)
-    prefix = _coloring_search(by_max.__getitem__, colors, horizon, budget)
+    prefix = _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct)
     if len(prefix) == horizon:
         witness = Coloring(horizon, colors, tuple(prefix))
         return EmpiricalResult("witness", witness, nontrivial)
@@ -423,9 +433,7 @@ def forcing_number(
         nontrivial = default_nontrivial(matrix)
     if colors < 1 and max_horizon > 0:
         raise InputError("need at least one color")
-    prefix = _coloring_search(
-        lambda n: [s for s in enumerate_solutions(matrix, n, nontrivial=nontrivial)
-                   if max(s) == n], colors, max_horizon, budget)
+    prefix = _coloring_search(matrix, colors, max_horizon, budget, nontrivial, False)
     witness = Coloring(len(prefix), colors, tuple(prefix)) if prefix else None
     forced_at = len(prefix) + 1 if len(prefix) < max_horizon else None
     return ForcingReport(colors, nontrivial, forced_at, witness)

@@ -214,6 +214,16 @@ def test_rado_empirical_deep_horizon_exits_zero(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "witness"
 
 
+def test_rado_empirical_forced_early_lists_no_further(tmp_path):
+    """Schur with 2 colors is forced at 5, so the search never reaches the
+    solutions near 3000: listing all of [1..3000] first took 14 s."""
+    (tmp_path / "schur.mat").write_text("1 3\n1 1 -1\n")
+    proc = fresh_run(tmp_path, "rado", "empirical", "--matrix", "schur.mat",
+                     "--colors", "2", "--horizon", "3000", timeout=5)
+    assert proc.returncode == 0
+    assert '"verdict":"forced"' in proc.stdout
+
+
 def test_cst_search_absent_and_mpc(capsys):
     rep = report(capsys, "cst", "search", "--set", "odds:999",
                  "--specs", "const:1", "--depth", "2", "--spec-horizon", "6")
@@ -232,6 +242,9 @@ def test_exit_codes(capsys, schur_mat):
     code, _ = invoke(capsys, "rado", "empirical", "--matrix", schur_mat,
                      "--colors", "2", "--horizon", "12", "--budget", "3")
     assert code == 2
+    code, _ = invoke(capsys, "rado", "empirical", "--matrix", schur_mat,
+                     "--colors", "2", "--horizon", "0")
+    assert code == 1
 
 
 def test_cst_search_with_huge_negative_terms_exits_two(capsys):

@@ -203,6 +203,20 @@ def test_products_and_and_or_their_components():
         assert (res.window.members, res.boundary_hits) == _expected(both, horizon)
 
 
+@pytest.mark.parametrize("center, radius", [
+    (F(1, 20), F(1, 20)), ("1/20", "1/20"), (0.05, 0.05)],
+    ids=["fraction", "string", "float"])
+def test_arc_fields_are_exact(center, radius):
+    """An arc converts its fields as the parser does: 1/20 lands on both
+    ends of [0, 1/10), which floats would miss, so floats are refused."""
+    if isinstance(center, float):
+        with pytest.raises(InputError, match="exact rational"):
+            Arc(center, radius)
+        return
+    res = orbit_hits(RotationSystem(F(1, 10)), 0, Arc(center, radius), 10)
+    assert (res.window.members, res.boundary_hits) == ((10,), (1, 10))
+
+
 def test_invalid_orbit_inputs_are_input_errors():
     arc, cyl = Arc(F(0), F(1, 4)), Cylinder("1")
     rot, shift = RotationSystem(F(1, 3)), ShiftSystem("0110")

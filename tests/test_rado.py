@@ -240,6 +240,10 @@ def test_schur_forced_and_witness():
     assert res.verdict == "witness"
     assert res.witness.colors == (0, 1, 1, 0)
     assert res.witness.cells() == [(1, 4), (2, 3)]
+    # the oracle checks the horizon itself; the search below it would not
+    for horizon in (0, -1):
+        with pytest.raises(InputError, match=r"^horizon must be >= 1$"):
+            empirical_pr(SCHUR, 2, horizon)
 
 
 def test_ap_forced_and_witness():
@@ -311,6 +315,24 @@ def test_forcing_number_matches_naive_sweep():
             assert below.forced_at is None
             assert below.extremal_witness == report.extremal_witness
     assert forced_seen >= 5
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 1), (1, 2), (1, 1, 1), (1, 3), (1, 1, 2), (1, 1, 1, 1), (1, 4),
+    (1, 2, 2), (2, 2), (1, 2, 3), (2, 3)])
+def test_guo_sun_two_color_rado_numbers(coeffs):
+    """a_1 x_1 + ... + a_m x_m = x_0 has 2-color Rado number a v^2 + v - a
+    with a = min a_i and v = sum a_i (Guo and Sun, JCTA 115, 2008)."""
+    a, v = min(coeffs), sum(coeffs)
+    rado = a * v * v + v - a
+    report = forcing_number(RationalMatrix.from_rows([[*coeffs, -1]]), 2, rado)
+    assert report.forced_at == rado
+    colors = report.extremal_witness.colors
+    assert len(colors) == rado - 1
+    for xs in product(range(1, rado), repeat=len(coeffs)):
+        x0 = sum(c * x for c, x in zip(coeffs, xs))
+        if x0 < rado:
+            assert len({colors[x - 1] for x in (*xs, x0)}) == 2
 
 
 # x + y = 0 has no positive solution, so the search runs straight down to
