@@ -5,113 +5,60 @@ condition, builds and finds Deuber (m, p, c)-towers, manipulates
 IP-systems and finite sums, generates central-set/D-set candidates as
 return-time sets of exact dynamical systems, and searches finite-scale
 witnesses of the Central Sets Theorem conclusion.
+
+Every submodule below is registered in `sys.modules` at import, but its code
+runs on its first attribute access, so a caller runs only the modules it uses.
 """
 
-from .cst import CstWitness, MpcFromCstResult, cst_search, mpc_from_cst, verify_cst_witness
-from .deuber import MpcParams, MpcSystem, contains_mpc, generate_mpc, mpc_size, verify_mpc
-from .dynsets import (
-    Arc,
-    Cylinder,
-    DensityReport,
-    OrbitResult,
-    ProductSystem,
-    ProductTarget,
-    RotationSystem,
-    ShiftSystem,
-    StraussResult,
-    banach_density_estimate,
-    orbit_hits,
-    piecewise_syndetic_window,
-    product_return_times,
-    strauss_set,
-    syndetic_gap,
-)
-from .errors import (
-    BudgetExceededError,
-    DegenerateMatrixError,
-    InputError,
-    MpcExpansionError,
-)
-from .exactq import Rational, RationalMatrix, in_column_span, rank, solve_linear
-from .ipcore import (
-    FiniteIndexSet,
-    IPSystemSpec,
-    alpha_less,
-    find_divisible_subsequence,
-    fs_enumerate,
-    ip_term,
-    zero_sum_mod,
-)
-from .rado import (
-    Coloring,
-    ColumnsCertificate,
-    EmpiricalResult,
-    SolutionVector,
-    columns_condition,
-    empirical_pr,
-    schur_number,
-    single_equation_pr,
-    solve_in_cell,
-    vdw_number,
-    verify_certificate,
-)
-from .windows import SetWindow
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc",
-    "BudgetExceededError",
-    "Coloring",
-    "ColumnsCertificate",
-    "CstWitness",
-    "Cylinder",
-    "DegenerateMatrixError",
-    "DensityReport",
-    "EmpiricalResult",
-    "FiniteIndexSet",
-    "IPSystemSpec",
-    "InputError",
-    "MpcExpansionError",
-    "MpcFromCstResult",
-    "MpcParams",
-    "MpcSystem",
-    "OrbitResult",
-    "ProductSystem",
-    "ProductTarget",
-    "Rational",
-    "RationalMatrix",
-    "RotationSystem",
-    "SetWindow",
-    "ShiftSystem",
-    "SolutionVector",
-    "StraussResult",
-    "alpha_less",
-    "banach_density_estimate",
-    "columns_condition",
-    "contains_mpc",
-    "cst_search",
-    "empirical_pr",
-    "find_divisible_subsequence",
-    "fs_enumerate",
-    "generate_mpc",
-    "in_column_span",
-    "ip_term",
-    "mpc_from_cst",
-    "mpc_size",
-    "orbit_hits",
-    "piecewise_syndetic_window",
-    "product_return_times",
-    "rank",
-    "schur_number",
-    "single_equation_pr",
-    "solve_in_cell",
-    "solve_linear",
-    "strauss_set",
-    "syndetic_gap",
-    "vdw_number",
-    "verify_certificate",
-    "verify_cst_witness",
-    "verify_mpc",
-    "zero_sum_mod",
-]
+# the public names, by the submodule that defines them.  `cli` is not here:
+# `python -m ramseykit.cli` must find it unregistered, or runpy warns and
+# runs it a second time.
+_PUBLIC = {
+    "cst": "CstWitness MpcFromCstResult cst_search mpc_from_cst verify_cst_witness",
+    "deuber": "MpcParams MpcSystem contains_mpc generate_mpc mpc_size verify_mpc",
+    "dynsets": "Arc Cylinder DensityReport OrbitResult ProductSystem ProductTarget "
+               "RotationSystem ShiftSystem StraussResult banach_density_estimate "
+               "orbit_hits piecewise_syndetic_window product_return_times "
+               "strauss_set syndetic_gap",
+    "errors": "BudgetExceededError DegenerateMatrixError InputError MpcExpansionError",
+    "exactq": "Rational RationalMatrix in_column_span rank solve_linear",
+    "ipcore": "FiniteIndexSet IPSystemSpec alpha_less find_divisible_subsequence "
+              "fs_enumerate ip_term zero_sum_mod",
+    "rado": "Coloring ColumnsCertificate EmpiricalResult SolutionVector "
+            "columns_condition empirical_pr schur_number single_equation_pr "
+            "solve_in_cell vdw_number verify_certificate",
+    "windows": "SetWindow",
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def _lazy(name):
+    """Submodule `name`, registered to run on first attribute access.  One
+    that is registered already is kept, so a reload swaps out no module."""
+    fullname = f"{__name__}.{name}"
+    if fullname not in sys.modules:
+        spec = find_spec(fullname)
+        spec.loader = LazyLoader(spec.loader)
+        sys.modules[fullname] = module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+globals().update({name: _lazy(name) for name in _PUBLIC})
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[_HOME[name]], name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

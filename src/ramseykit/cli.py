@@ -19,12 +19,11 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import cst as cstmod
-from . import deuber, dynsets, ipcore, rado
-from .errors import (BudgetExceededError, DegenerateMatrixError, InputError,
+# modules, not names: each module runs only when a handler first reads it
+from . import cst as cstmod, deuber, dynsets, exactq, ipcore, rado, windows
+from .errors import (DEFAULT_COLORING_BUDGET, DEFAULT_CST_BUDGET,
+                     BudgetExceededError, DegenerateMatrixError, InputError,
                      fields, read_text)
-from .exactq import RationalMatrix, as_rational
-from .windows import SetWindow
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +42,7 @@ def _jsonable(value):
     return value
 
 
-def _window_payload(window: SetWindow) -> dict:
+def _window_payload(window: windows.SetWindow) -> dict:
     payload = {"horizon": window.horizon, "count": len(window)}
     if len(window) <= 10000:
         payload["members"] = list(window.members)
@@ -57,8 +56,8 @@ def _coloring_payload(coloring):
     return None if coloring is None else asdict(coloring)
 
 
-def _load_matrix(path: str) -> RationalMatrix:
-    return RationalMatrix.from_text(read_text(path, "matrix file"))
+def _load_matrix(path: str) -> exactq.RationalMatrix:
+    return exactq.RationalMatrix.from_text(read_text(path, "matrix file"))
 
 
 def _parse_specs(text: str, horizon) -> list:
@@ -95,7 +94,7 @@ def _rado_empirical(args):
 
 def _rado_solve(args):
     matrix = _load_matrix(args.matrix)
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     nontrivial = _NONTRIVIAL[args.nontrivial]
     if nontrivial is None:
         nontrivial = rado.default_nontrivial(matrix)
@@ -143,14 +142,14 @@ def _mpc_gen(args):
 
 def _mpc_verify(args):
     params = _mpc_params(args)
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     generators = fields(args.generators, int, "--generators")
     return {"contained": deuber.verify_mpc(window, params, generators)}
 
 
 def _mpc_find(args):
     params = _mpc_params(args)
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     found = deuber.contains_mpc(window, params, args.bound)
     return {"generators": list(found) if found else None}
 
@@ -202,23 +201,23 @@ def _dyn_product(args):
 
 
 def _dyn_density(args):
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     return asdict(dynsets.banach_density_estimate(window, args.window))
 
 
 def _dyn_gaps(args):
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     return {"max_gap": dynsets.syndetic_gap(window)}
 
 
 def _dyn_pws(args):
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     return asdict(
         dynsets.piecewise_syndetic_window(window, args.shifts, args.length))
 
 
 def _dyn_strauss(args):
-    result = dynsets.strauss_set(as_rational(args.epsilon), args.horizon)
+    result = dynsets.strauss_set(exactq.as_rational(args.epsilon), args.horizon)
     assert dynsets.strauss_witnesses_hold(result)
     return {"density": result.density,
             "witnesses": [list(w) for w in result.witnesses],
@@ -226,7 +225,7 @@ def _dyn_strauss(args):
 
 
 def _cst_search(args):
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     # refuse an over-cap horizon where cst_search would refuse level 0: past
     # its depth checks, on a nonempty window, but before the rules are built
     horizon = args.spec_horizon
@@ -240,7 +239,7 @@ def _cst_search(args):
 
 
 def _cst_verify(args):
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     specs = _parse_specs(args.specs, args.spec_horizon)
     try:
         data = json.loads(read_text(args.witness, "witness file"))
@@ -253,7 +252,7 @@ def _cst_verify(args):
 
 
 def _cst_mpc(args):
-    window = SetWindow.from_expression(args.set)
+    window = windows.SetWindow.from_expression(args.set)
     result = cstmod.mpc_from_cst(
         window, args.m, args.p, args.c,
         budget=args.budget, family_depth=args.family_depth)
@@ -284,13 +283,13 @@ FLAGS = {
     "nontrivial": {"choices": tuple(_NONTRIVIAL), "default": "auto"},
     "distinct": {"action": "store_true"},
     "max": {"type": int, "default": 20},
-    "budget": {"type": int, "default": rado.DEFAULT_COLORING_BUDGET},
+    "budget": {"type": int, "default": DEFAULT_COLORING_BUDGET},
     "spec-horizon": {"type": int, "default": None},
     "family-depth": {"type": int, "default": 1},
 }
 
 # the one flag whose setting depends on the group: `cst` has its own budget
-GROUP_FLAGS = {"cst": {"budget": {"default": cstmod.DEFAULT_CST_BUDGET}}}
+GROUP_FLAGS = {"cst": {"budget": {"default": DEFAULT_CST_BUDGET}}}
 
 # (group, command, handler, flags, inputs the report echoes)
 COMMANDS = (

@@ -21,7 +21,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .deuber import MpcParams, MpcSystem, generate_mpc, verify_mpc
-from .errors import BudgetExceededError, InputError, json_int
+from .errors import DEFAULT_CST_BUDGET, BudgetExceededError, InputError, json_int
 from .ipcore import (
     FS_PREFIX_CAP,
     FiniteIndexSet,
@@ -32,8 +32,6 @@ from .ipcore import (
     ip_term,
 )
 from .windows import SetWindow
-
-DEFAULT_CST_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)

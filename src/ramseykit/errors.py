@@ -1,5 +1,6 @@
-"""Shared exception types and the input boundary: the one reader of input
-text files, the integer check for JSON payloads, and the `kind:fields` reader."""
+"""Shared exception types, the default search budgets, and the input boundary:
+the one reader of input text files, the integer check for JSON payloads, and
+the `kind:fields` reader."""
 
 
 class InputError(ValueError):
@@ -12,6 +13,11 @@ class BudgetExceededError(RuntimeError):
     Raised instead of returning a possibly wrong answer; callers map this
     to the distinguished "budget" verdict (CLI exit status 2).
     """
+
+
+# node budgets of the coloring searches (rado) and of the CST searches (cst)
+DEFAULT_COLORING_BUDGET = 20_000_000
+DEFAULT_CST_BUDGET = 5_000_000
 
 
 class DegenerateMatrixError(Exception):

@@ -17,12 +17,10 @@ from itertools import chain, combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import (BudgetExceededError, DegenerateMatrixError, InputError,
-                     json_int)
+from .errors import (DEFAULT_COLORING_BUDGET, BudgetExceededError,
+                     DegenerateMatrixError, InputError, json_int)
 from .exactq import RationalMatrix, in_column_span, reduced_row_echelon
 from .windows import SetWindow
-
-DEFAULT_COLORING_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -429,10 +427,12 @@ def forcing_number(
     forced, with the witness at N - 1.  One search runs at max_horizon;
     the search at each smaller N would visit a prefix of its nodes, so the
     budget binds exactly as on a sweep of per-N searches."""
+    if colors < 1:
+        raise InputError("need at least one color")
+    if max_horizon < 1:
+        raise InputError("horizon must be >= 1")
     if nontrivial is None:
         nontrivial = default_nontrivial(matrix)
-    if colors < 1 and max_horizon > 0:
-        raise InputError("need at least one color")
     prefix = _coloring_search(matrix, colors, max_horizon, budget, nontrivial, False)
     witness = Coloring(len(prefix), colors, tuple(prefix)) if prefix else None
     forced_at = len(prefix) + 1 if len(prefix) < max_horizon else None

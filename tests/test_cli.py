@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shlex
@@ -43,6 +44,17 @@ def fresh_run(cwd, *argv, timeout=60):
         [sys.executable, "-m", "ramseykit.cli", *argv],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def fresh_python(cwd, code, *argv):
+    """`code` in a new interpreter that finds ramseykit and bench/ on its path."""
+    src = os.path.dirname(os.path.dirname(ramseykit.__file__))
+    bench = os.path.join(os.path.dirname(src), "bench")
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, bench])),
+        capture_output=True, text=True, timeout=60, check=True,
     )
 
 
@@ -245,6 +257,10 @@ def test_exit_codes(capsys, schur_mat):
     code, _ = invoke(capsys, "rado", "empirical", "--matrix", schur_mat,
                      "--colors", "2", "--horizon", "0")
     assert code == 1
+    for argv in (("schur-number", "--colors", "0", "--max", "0"),
+                 ("schur-number", "--colors", "2", "--max", "-3"),
+                 ("vdw-number", "--colors", "2", "--length", "3", "--max", "0")):
+        assert invoke(capsys, "rado", *argv) == (1, "")
 
 
 def test_cst_search_with_huge_negative_terms_exits_two(capsys):
@@ -599,3 +615,91 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.handler is not None, line
+
+
+# the ramseykit modules whose code has run, as the last stdout line
+_RAN = """
+import json, sys, types
+import ramseykit.cli as cli
+cli.run(sys.argv[1:])
+print(json.dumps(sorted(name for name, module in sys.modules.items()
+                        if name.partition(".")[0] == "ramseykit"
+                        and type(module) is types.ModuleType)))
+"""
+
+
+def test_each_command_runs_only_the_modules_it_uses(tmp_path):
+    """A submodule runs on first use; until then it is registered but its
+    code has not run (`type()` does not trigger the load)."""
+    proc = fresh_python(tmp_path, _RAN, "fs", "zerosum", "--values", "1,2,3",
+                        "--modulus", "3")
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        "ramseykit", "ramseykit.cli", "ramseykit.errors", "ramseykit.ipcore",
+        "ramseykit.windows"]
+    (tmp_path / "schur.mat").write_text("1 3\n1 1 -1\n")
+    proc = fresh_python(tmp_path, _RAN, "rado", "check", "--matrix", "schur.mat")
+    ran = json.loads(proc.stdout.splitlines()[-1])
+    assert "ramseykit.rado" in ran
+    assert not {"ramseykit.cst", "ramseykit.deuber", "ramseykit.dynsets",
+                "ramseykit.ipcore"} & set(ran)
+
+
+def test_star_import_binds_every_public_name(tmp_path):
+    code = """
+import json, sys
+import ramseykit
+from ramseykit import *
+names = ramseykit.__all__
+bound = {name: globals()[name] for name in names if name in globals()}
+homes = [vars(m) for n, m in sys.modules.items() if n.startswith("ramseykit.")]
+print(json.dumps({
+    "count": len(names),
+    "bound": len(bound),
+    "same": all(any(name in home for home in homes)
+                and all(home.get(name, value) is value for home in homes)
+                for name, value in bound.items()),
+    "listed": set(names) <= set(dir(ramseykit)),
+}))
+"""
+    proc = fresh_python(tmp_path, code)
+    assert json.loads(proc.stdout) == {"count": 54, "bound": 54, "same": True,
+                                       "listed": True}
+
+
+def test_reload_keeps_the_loaded_submodules():
+    """A module that raises InputError must raise the class that `except
+    InputError` in an already imported cli names."""
+    errors = sys.modules["ramseykit.errors"]
+    importlib.reload(ramseykit)
+    assert ramseykit.errors is errors
+    assert ramseykit.InputError is errors.InputError is InputError
+
+
+def test_tracing_harness_wraps_the_registered_modules(tmp_path):
+    """bench/spans.py looks every module up in sys.modules before any of them
+    ran: right after `import ramseykit` and `import ramseykit.cli` in the
+    traced cli children, and right after `import ramseykit` in set-up."""
+    code = """
+import json
+import ramseykit
+import ramseykit.cli as cli
+import spans
+tracer = spans.Tracer()
+spans.install(tracer, with_cli=True)
+cli.run(["dyn", "gaps", "--set", "evens:100"])
+print(json.dumps(sorted(set(tracer.names))))
+"""
+    proc = fresh_python(tmp_path, code)
+    names = json.loads(proc.stdout.splitlines()[-1])
+    assert {"cli.run", "dynsets.syndetic_gap"} <= set(names)
+    code = """
+import json
+import ramseykit
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+ramseykit.syndetic_gap(ramseykit.SetWindow.from_expression("evens:100"))
+print(json.dumps(sorted(set(tracer.names))))
+"""
+    names = json.loads(fresh_python(tmp_path, code).stdout)
+    assert {"dynsets.syndetic_gap", "windows.SetWindow.from_expression"} <= set(names)

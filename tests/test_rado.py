@@ -289,6 +289,14 @@ def test_forcing_sweeps():
     vdw = vdw_number(2, 3, max_horizon=12)
     assert vdw.forced_at == 9
     assert vdw.extremal_witness.cells() == [(1, 2, 5, 6), (3, 4, 7, 8)]
+    for colors, max_horizon, message in [(0, 0, "need at least one color"),
+                                         (0, 5, "need at least one color"),
+                                         (2, 0, "horizon must be >= 1"),
+                                         (2, -3, "horizon must be >= 1")]:
+        with pytest.raises(InputError, match=message):
+            forcing_number(SCHUR, colors, max_horizon)
+    with pytest.raises(InputError, match="horizon must be >= 1"):
+        vdw_number(2, 3, 0)
 
 
 def test_forcing_number_matches_naive_sweep():
