@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 
 # modules, not names: each module runs only when a handler first reads it
 from . import cst as cstmod, deuber, dynsets, exactq, ipcore, rado, windows
@@ -30,16 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InputError(message)
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _window_payload(window: windows.SetWindow) -> dict:
@@ -202,7 +191,8 @@ def _dyn_product(args):
 
 def _dyn_density(args):
     window = windows.SetWindow.from_expression(args.set)
-    return asdict(dynsets.banach_density_estimate(window, args.window))
+    report = asdict(dynsets.banach_density_estimate(window, args.window))
+    return {**report, "estimate": str(report["estimate"])}
 
 
 def _dyn_gaps(args):
@@ -219,7 +209,7 @@ def _dyn_pws(args):
 def _dyn_strauss(args):
     result = dynsets.strauss_set(exactq.as_rational(args.epsilon), args.horizon)
     assert dynsets.strauss_witnesses_hold(result)
-    return {"density": result.density,
+    return {"density": str(result.density),
             "witnesses": [list(w) for w in result.witnesses],
             "window": _window_payload(result.window)}
 
@@ -331,8 +321,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--plain", action="store_true",
                         help="emit key=value lines instead of JSON")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap; results never depend on it")
 
     parser = _Parser(prog="ramseykit",
                      description="partition Ramsey theory toolkit")
@@ -352,12 +340,11 @@ def _build_parser() -> _Parser:
 
 
 def _emit(report: dict, plain: bool) -> None:
-    payload = _jsonable(report)
     if plain:
-        for key in sorted(payload):
-            print(f"{key}={json.dumps(payload[key], sort_keys=True)}")
+        for key in sorted(report):
+            print(f"{key}={json.dumps(report[key], sort_keys=True)}")
     else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
 def run(argv) -> int:
@@ -366,8 +353,6 @@ def run(argv) -> int:
         args, extra = _build_parser().parse_known_args(argv)
         if extra:  # under the subcommand's usage, not the top-level one
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        if args.threads < 1:
-            raise InputError("--threads must be >= 1")
         report = {
             "subcommand": f"{args.group} {args.command}",
             "inputs": {name: getattr(args, name) for name in args.echo},

@@ -246,10 +246,9 @@ def single_equation_pr(coeffs: Sequence[int]) -> Optional[tuple[int, ...]]:
         raise InputError("need at least one coefficient")
     if any((not isinstance(v, int)) or v == 0 for v in vals):
         raise InputError("coefficients must be nonzero integers")
-    for size in range(1, len(vals) + 1):
-        for combo in combinations(range(len(vals)), size):
-            if sum(vals[j] for j in combo) == 0:
-                return tuple(j + 1 for j in combo)
+    for combo in _blocks(range(len(vals))):
+        if sum(vals[j] for j in combo) == 0:
+            return tuple(j + 1 for j in combo)
     return None
 
 

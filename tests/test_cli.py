@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,10 @@ def test_mpc_commands(capsys):
 def test_fs_commands(capsys):
     rep = report(capsys, "fs", "enum", "--spec", "geom:1,2", "--k", "4")
     assert rep["window"]["members"] == list(range(1, 16))
+    # 2^14 - 1 sums: over 10,000 members, a window reports only its count
+    rep = report(capsys, "fs", "enum", "--spec", "geom:1,2", "--k", "14")
+    assert rep["window"] == {"horizon": 16383, "count": 16383,
+                             "members_omitted": True}
     rep = report(capsys, "fs", "divisible", "--spec", "const:1",
                  "--horizon", "6", "--modulus", "3", "--count", "2")
     assert rep["alphas"] == [[1, 2, 3], [4, 5, 6]]
@@ -406,9 +411,10 @@ def test_unreadable_input_files_exit_one_without_traceback(argv, message,
 
 
 def test_removed_and_malformed_flags_exit_one(capsys, schur_mat):
-    """`--json` and `fs enum --horizon` are gone, and `--nontrivial` takes
-    only auto, on or off."""
+    """`--json`, `--threads` and `fs enum --horizon` are gone, and
+    `--nontrivial` takes only auto, on or off."""
     for argv in (["dyn", "gaps", "--set", "evens:10", "--json"],
+                 ["rado", "check", "--matrix", schur_mat, "--threads", "1"],
                  ["fs", "enum", "--spec", "const:1", "--k", "3", "--horizon", "5"],
                  ["rado", "solve", "--matrix", schur_mat, "--set", "all:13",
                   "--nontrivial", "yes"]):
@@ -434,15 +440,20 @@ def test_budget_verdict_payload(capsys, schur_mat):
                                "verdict": "budget-exceeded"}
 
 
-def test_threads_flag_does_not_change_output(capsys, schur_mat):
-    _, out1 = invoke(capsys, "rado", "check", "--matrix", schur_mat,
-                     "--threads", "1")
-    _, out2 = invoke(capsys, "rado", "check", "--matrix", schur_mat,
-                     "--threads", "8")
-    assert out1 == out2
-    code, _ = invoke(capsys, "rado", "check", "--matrix", schur_mat,
-                     "--threads", "0")
-    assert code == 1
+def test_rational_fields_are_exact_strings(capsys):
+    """The two `Fraction` fields, a density estimate and a Strauss set's
+    density, are reported as exact `p/q` strings, in JSON and in `--plain`."""
+    for window in ("3", "7", "10"):
+        rep = report(capsys, "dyn", "density", "--set", "mod:0,3,100",
+                     "--window", window)
+        assert isinstance(rep["estimate"], str)
+        assert Fraction(rep["estimate"]) == Fraction(rep["count"], int(window))
+    code, out = invoke(capsys, "dyn", "density", "--set", "odds:100",
+                       "--window", "3", "--plain")
+    assert code == 0 and 'estimate="2/3"' in out.splitlines()
+    rep = report(capsys, "dyn", "strauss", "--epsilon", "1/3", "--horizon", "100")
+    assert isinstance(rep["density"], str)
+    assert Fraction(rep["density"]) == Fraction(rep["window"]["count"], 100)
 
 
 def test_plain_output(capsys):
@@ -617,28 +628,42 @@ def test_readme_command_lines_parse():
         assert args.handler is not None, line
 
 
-# the ramseykit modules whose code has run, as the last stdout line
+# the ramseykit modules whose code has run, and the loaded stdlib number
+# modules, as the last stdout line
 _RAN = """
 import json, sys, types
 import ramseykit.cli as cli
 cli.run(sys.argv[1:])
-print(json.dumps(sorted(name for name, module in sys.modules.items()
-                        if name.partition(".")[0] == "ramseykit"
-                        and type(module) is types.ModuleType)))
+print(json.dumps({
+    "ran": sorted(name for name, module in sys.modules.items()
+                  if name.partition(".")[0] == "ramseykit"
+                  and type(module) is types.ModuleType),
+    "numbers": sorted({"decimal", "fractions", "numbers"} & set(sys.modules)),
+}))
 """
+
+
+def _modules_run(cwd, *argv) -> dict:
+    proc = fresh_python(cwd, _RAN, *argv)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_each_command_runs_only_the_modules_it_uses(tmp_path):
     """A submodule runs on first use; until then it is registered but its
-    code has not run (`type()` does not trigger the load)."""
-    proc = fresh_python(tmp_path, _RAN, "fs", "zerosum", "--values", "1,2,3",
-                        "--modulus", "3")
-    assert json.loads(proc.stdout.splitlines()[-1]) == [
-        "ramseykit", "ramseykit.cli", "ramseykit.errors", "ramseykit.ipcore",
-        "ramseykit.windows"]
+    code has not run (`type()` does not trigger the load).  Commands on
+    integers load no `fractions` (nor the `decimal` and `numbers` it pulls in)."""
+    assert _modules_run(tmp_path, "fs", "zerosum", "--values", "1,2,3",
+                        "--modulus", "3") == {
+        "ran": ["ramseykit", "ramseykit.cli", "ramseykit.errors",
+                "ramseykit.ipcore", "ramseykit.windows"],
+        "numbers": []}
+    loaded = _modules_run(tmp_path, "cst", "search", "--set", "evens:200",
+                          "--specs", "const:2", "--depth", "2",
+                          "--spec-horizon", "6")
+    assert "ramseykit.cst" in loaded["ran"]
+    assert loaded["numbers"] == []
     (tmp_path / "schur.mat").write_text("1 3\n1 1 -1\n")
-    proc = fresh_python(tmp_path, _RAN, "rado", "check", "--matrix", "schur.mat")
-    ran = json.loads(proc.stdout.splitlines()[-1])
+    ran = _modules_run(tmp_path, "rado", "check", "--matrix", "schur.mat")["ran"]
     assert "ramseykit.rado" in ran
     assert not {"ramseykit.cst", "ramseykit.deuber", "ramseykit.dynsets",
                 "ramseykit.ipcore"} & set(ran)

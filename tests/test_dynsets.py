@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -319,6 +320,13 @@ def test_strauss_window_example():
     assert res.window.members == (2, 3, 5, 6, 7)
     assert res.density == F(5, 8) >= F(1, 2)
     assert strauss_witnesses_hold(res)
+
+
+def test_strauss_witness_check_rejects_a_hit_class():
+    res = strauss_set(F(1, 2), 64)
+    assert strauss_witnesses_hold(res)
+    # 1 mod 2 meets the odd members of the window
+    assert not strauss_witnesses_hold(dataclasses.replace(res, witnesses=((1, 2),)))
 
 
 def test_strauss_density_and_witnesses_across_epsilons():

@@ -141,6 +141,9 @@ def test_zero_sum_short_inputs():
     assert zero_sum_mod([7], 14) is None
     # every subset sum lies in [1, 465], so no search is needed
     assert zero_sum_mod(list(range(1, 31)), 10**6) is None
+    # no prefix run, so the exhaustive search decides
+    assert zero_sum_mod([2, 1, 2], 4) == (1, 3)
+    assert zero_sum_mod([2, 2], 3) is None
 
 
 def test_zero_sum_random_guarantee():

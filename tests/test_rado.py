@@ -115,6 +115,22 @@ def test_verify_rejects_wrong_first_block():
     assert not verify_certificate(SCHUR, bad)
 
 
+def test_verify_rejects_wrong_coefficients():
+    """A later block whose column sum is not the stated combination."""
+    matrix = RationalMatrix.from_rows([[1, -1, 2]])
+    found = columns_condition(matrix)
+    assert found == ColumnsCertificate(((1, 2), (3,)), ({1: F(2), 2: F(0)},))
+    assert verify_certificate(matrix, found)
+    bad = ColumnsCertificate(((1, 2), (3,)), ({1: F(3), 2: F(0)},))
+    assert not verify_certificate(matrix, bad)
+
+
+def test_trivial_kernel_has_no_positive_solution():
+    identity = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    assert enumerate_solutions(identity, 10) == []
+    assert empirical_pr(identity, 1, 5).verdict == "witness"
+
+
 def test_verify_raises_on_missing_column():
     partial = ColumnsCertificate(((1, 3),), ())
     with pytest.raises(InputError):
