@@ -87,16 +87,15 @@ def _min_subset_sum(spec: IPSystemSpec) -> int:
     return negatives if negatives < 0 else min(spec.terms)
 
 
-def _live_terms(b: int, probed: int) -> int:
-    """The members u of probed with b & (b >> u) nonzero: the differences
-    of two members of b.  Each step takes the next member x of b, smallest
-    first, and settles every open u with x + u in b, then tests the largest
-    open u (the one the fewest members can settle) by itself.  So at most
-    min(|probed|, |b|) steps, and on a window with few dead ends the
-    smallest members settle almost every u at once."""
+def _live_terms(b: int) -> int:
+    """The members u of b with b & (b >> u) nonzero, the differences of two
+    members of b.  Each step takes the next member x of b, smallest first,
+    and settles every open u with x + u in b, then tests the largest open u
+    (the one the fewest members can settle) by itself.  So at most |b|
+    steps, and on a window with few dead ends the smallest members settle
+    almost every u at once."""
     live = 0
-    todo = probed
-    rest = b
+    todo = rest = b
     while todo and rest:
         x = rest & -rest
         rest ^= x
@@ -144,23 +143,23 @@ def cst_search(
     B_i & (B_i >> u).
 
     That set is empty unless u is a difference of two members of B_i, so
-    below the last level each scan first drops the positions whose terms
-    are not: per system it collects the terms the level would try and
-    keeps the live ones, in at most min(|terms|, |B_i|) big-int steps
-    however many positions there are (see _live_terms); the last level is
-    not filtered.  The budget counts every (a, alpha) position
-    in scan order, including those that fail, are skipped as duplicates or
-    are dropped by this look-ahead; a dropped position is charged with the
-    next visited one or with the level's closing charge, just as a failing
-    one is, and it would have charged nothing below it.
+    below the last level a term must lie in the live targets
+    L_i = B_i  intersect  (B_i - B_i) (see _live_terms); the last level
+    tests B_i itself.  L_i is found once per admissible mask, before the
+    level's table is built, and a level with an empty L_i has no passing
+    position: it is refuted without a table, so the odds under x + y = z
+    answer at once however wide the level.
 
-    A level thus has 2^width - 1 budget positions per a, and a level with
-    more than the budget raises before it is scanned, but the table it
-    scans holds only the first index set of each (max index, sums) pair.  The table is
-    built from the distinct subset sums (see candidates), so its size and
-    cost follow their number: const:1 at horizon 20 has 210 candidates
-    among 2^20 - 1 index sets, while a rule whose subset sums all differ,
-    such as geom, still has them all.
+    The budget counts every (a, alpha) position in scan order, including
+    those that fail, are skipped as duplicates or are not live: each is
+    charged with the next visited position or with the level's closing
+    charge of a_hi * (2^width - 1), and it would have charged nothing below
+    it.  A level whose 2^width - 1 positions per a pass the budget raises
+    before it is scanned or refuted.  The table it scans holds the first
+    index set of each (max index, sums) pair, built from the distinct
+    subset sums (see candidates), so its size and cost follow their number:
+    const:1 at horizon 20 has 210 candidates among 2^20 - 1 index sets,
+    while a rule whose subset sums all differ, such as geom, has them all.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -174,6 +173,7 @@ def cst_search(
     ticks = 0
     dead: set = set()
     cand_cache: dict[int, tuple] = {}
+    live: dict[int, int] = {}  # admissible mask -> its live targets
 
     def candidates(low: int) -> tuple:
         """(count, reach, distinct) for the indices in (low, horizon]: the
@@ -215,15 +215,14 @@ def cst_search(
         got = cand_cache[low] = (count, reach, distinct)
         return got
 
-    def scan(reach, distinct, admissible, last):
+    def scan(reach, distinct, targets):
         """(a, candidate) for every a <= reach and distinct candidate whose
-        terms a + s_i all lie in B_i, and below the last level are live in
-        B_i too, in (a, position) order."""
+        terms a + s_i all lie in their targets, in (a, position) order."""
         a_range = (1 << (reach + 1)) - 2
         passing = []
         for cand in distinct:
             ok = a_range
-            for b, s in zip(admissible, cand[2]):
+            for b, s in zip(targets, cand[2]):
                 if s >= 0:
                     ok &= b >> s
                 elif -s <= reach:
@@ -232,20 +231,6 @@ def cst_search(
                     ok = 0
             if ok:
                 passing.append((ok, cand))
-        if not last:
-            for i, b in enumerate(admissible):
-                probed = 0
-                for ok, cand in passing:
-                    s = cand[2][i]
-                    probed |= ok << s if s >= 0 else ok >> -s
-                live = _live_terms(b, probed)
-                kept = []
-                for ok, cand in passing:
-                    s = cand[2][i]
-                    ok &= live >> s if s >= 0 else live << -s
-                    if ok:
-                        kept.append((ok, cand))
-                passing = kept
         union = 0
         for ok, _ in passing:
             union |= ok
@@ -270,10 +255,24 @@ def cst_search(
         # deeper level's sets nonempty
         if not all(admissible):
             return None
-        count, reach, distinct = candidates(low)
         last = level + 1 == depth
+        targets = admissible
+        if not last:
+            targets = []
+            for b in admissible:
+                got = live.get(b)
+                if got is None:
+                    got = live[b] = _live_terms(b)
+                if not got:
+                    # no position passes: charge the level without its table
+                    width = horizon - low
+                    check_level_width(width, budget)
+                    charge(a_hi * ((1 << width) - 1))
+                    return None
+                targets.append(got)
+        count, reach, distinct = candidates(low)
         seen = 0  # positions of this level charged so far
-        for a, (bits, amax, svec) in scan(reach, distinct, admissible, last):
+        for a, (bits, amax, svec) in scan(reach, distinct, targets):
             # every position up to this one counts as scanned: the failing,
             # duplicate and dead-end ones are charged here without a visit
             pos = (a - 1) * count + bits

@@ -1,9 +1,11 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramseykit import cst
 from ramseykit.cst import (
     CstWitness,
     cst_search,
@@ -255,6 +257,10 @@ NAMED_WINDOWS = {
     # the search charges a_hi * (2^h - 1) = 149 * 63 positions, as in
     # test_budget_counts_every_scanned_position
     ("odds:150", ["const:1", "const:2"], 6, 2, 149 * 63, None),
+    # level 0's only live term is 2, which leaves {1}: no live term, so
+    # level 1 is refuted without its table, charging 2 * 3 after alpha {1}
+    # and 2 * 1 after alpha {2}, on top of level 0's 2 * 7
+    ("all:3", ["const:1"], 3, 3, 22, None),
 ])
 def test_minimal_budgets_are_pinned(expr, rules, horizon, depth, minimal,
                                     a_values):
@@ -340,10 +346,25 @@ def budget_outcome(search, *args):
         return str(exc)
 
 
+def assert_budgets_match_the_full_scan(window, specs, depth):
+    """The same witness or refutation as budgeted_brute_search, the same
+    least budget and the same budget message one below it."""
+    expected, minimal = budgeted_brute_search(window, specs, depth)
+    for budget in (minimal - 1, minimal, minimal + 1):
+        if budget < 1:
+            continue
+        want = budget_outcome(budgeted_brute_search, window, specs, depth,
+                              budget)
+        got = budget_outcome(cst_search, window, specs, depth, budget)
+        if isinstance(got, CstWitness):
+            got = [(a, al.members) for a, al in zip(got.a_values, got.alphas)]
+        assert got == want, (window, specs, depth, budget)
+    assert isinstance(want, str) or want == expected
+
+
 def test_candidate_table_keeps_every_budget_of_the_full_scan():
     """Seeded widths up to 8 with mixed signs and one to three systems, some
-    of them with many repeated sums: the same witness or refutation, the
-    same least budget and the same budget message one below it."""
+    of them with many repeated sums."""
     rng = random.Random(11)
     for _ in range(100):
         horizon = rng.randint(2, 8)
@@ -356,17 +377,81 @@ def test_candidate_table_keeps_every_budget_of_the_full_scan():
                       for _ in range(horizon)])
                  for _ in range(rng.randint(1, 3))]
         depth = rng.randint(1, 3 if horizon <= 5 else 2)
-        expected, minimal = budgeted_brute_search(window, specs, depth)
-        for budget in (minimal - 1, minimal, minimal + 1):
-            if budget < 1:
-                continue
-            want = budget_outcome(budgeted_brute_search, window, specs, depth,
-                                  budget)
-            got = budget_outcome(cst_search, window, specs, depth, budget)
-            if isinstance(got, CstWitness):
-                got = [(a, al.members) for a, al in zip(got.a_values, got.alphas)]
-            assert got == want, (window, specs, depth, budget)
-        assert isinstance(want, str) or want == expected
+        assert_budgets_match_the_full_scan(window, specs, depth)
+
+
+def test_level_refutations_keep_every_budget_of_the_full_scan(monkeypatch):
+    """Residue classes, some with a few stray members, where the first
+    level with no live term is level 0, level 1 or deeper."""
+    refuted = []
+    original = cst._live_terms
+
+    def live_terms(b):
+        got = original(b)
+        if not got:
+            refuted.append(b)
+        return got
+
+    monkeypatch.setattr(cst, "_live_terms", live_terms)
+    rng = random.Random(21)
+    deeper = 0
+    for _ in range(60):
+        n = rng.randint(8, 30)
+        modulus = rng.randint(2, 5)
+        members = set(range(rng.randrange(modulus) or modulus, n + 1, modulus))
+        if rng.random() < 0.5:
+            members |= set(rng.sample(range(1, n + 1), rng.randint(1, 3)))
+        window = SetWindow.from_members(n, members)
+        horizon = rng.randint(2, 5)
+        specs = [IPSystemSpec.from_terms(
+                     [rng.choice([1, 2, 3, rng.randint(-2, 4)])
+                      for _ in range(horizon)])
+                 for _ in range(rng.randint(1, 2))]
+        depth = rng.randint(2, 3)
+        refuted.clear()
+        assert_budgets_match_the_full_scan(window, specs, depth)
+        deeper += any(b != window.mask for b in refuted)
+    assert deeper >= 5
+
+
+def test_wide_refutation_builds_no_candidate_table():
+    """odd + odd is even, so no member of the odds up to 5 is a difference
+    of two: level 0 of a depth-2 search is refuted before its 2^20 - 1
+    index sets are summed (that table peaks at about 260 MB).  At horizon
+    21 the width check still comes first, before any charge."""
+    window = SetWindow.from_expression("odds:5")
+    specs = [IPSystemSpec.parse("geom:1,2", horizon=20)]
+    tracemalloc.start()
+    try:
+        assert cst_search(window, specs, 2) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    specs = [IPSystemSpec.parse("geom:1,2", horizon=21)]
+    with pytest.raises(BudgetExceededError, match=r"^2\^21 candidate index "
+                       r"sets per level is over budget$"):
+        cst_search(window, specs, 2)
+
+
+def test_live_terms_match_their_definition():
+    """_live_terms(b) is {u in b : b & (b >> u) != 0}, the members of b
+    that are a difference of two members of b."""
+    rng = random.Random(7)
+    masks = [0, 1 << 1, 1 << 40]
+    for n in (1, 2, 3, 10, 64, 200):
+        masks.append((1 << (n + 1)) - 2)  # the range 1..n
+        for modulus in (2, 3, 5):
+            for residue in range(modulus):
+                masks.append(SetWindow.residue_class(residue, modulus, n).mask)
+    for _ in range(300):
+        n = rng.randint(1, 150)
+        members = rng.sample(range(n + 1), rng.randint(1, n + 1))
+        masks.append(sum(1 << x for x in members))
+    for b in masks:
+        members = {x for x in range(b.bit_length()) if b >> x & 1}
+        live = {u for u in members if any(x + u in members for x in members)}
+        assert cst._live_terms(b) == sum(1 << u for u in live), bin(b)
 
 
 def test_candidate_table_keeps_the_first_index_set_of_each_sum():
