@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 # modules, not names: each module runs only when a handler first reads it
 from . import cst as cstmod, deuber, dynsets, exactq, ipcore, rado, windows
-from .errors import (DEFAULT_COLORING_BUDGET, DEFAULT_CST_BUDGET,
+from .errors import (DEFAULT_COLORING_BUDGET, DEFAULT_CST_BUDGET, FS_PREFIX_CAP,
                      BudgetExceededError, DegenerateMatrixError, InputError,
                      fields, read_text)
 
@@ -219,8 +219,8 @@ def _cst_search(args):
     # refuse an over-cap horizon where cst_search would refuse level 0: past
     # its depth checks, on a nonempty window, but before the rules are built
     horizon = args.spec_horizon
-    if (horizon is not None and horizon > ipcore.FS_PREFIX_CAP and window.members
-            and 1 <= args.depth <= ipcore.FS_PREFIX_CAP):
+    if (horizon is not None and horizon > FS_PREFIX_CAP and window.members
+            and 1 <= args.depth <= FS_PREFIX_CAP):
         cstmod.check_level_width(horizon, args.budget)
     specs = _parse_specs(args.specs, horizon)
     witness = cstmod.cst_search(window, specs, args.depth, budget=args.budget)

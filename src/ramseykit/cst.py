@@ -21,9 +21,9 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .deuber import MpcParams, MpcSystem, generate_mpc, verify_mpc
-from .errors import DEFAULT_CST_BUDGET, BudgetExceededError, InputError, json_int
+from .errors import (DEFAULT_CST_BUDGET, FS_PREFIX_CAP, BudgetExceededError,
+                     InputError, json_int)
 from .ipcore import (
-    FS_PREFIX_CAP,
     FiniteIndexSet,
     IPSystemSpec,
     alpha_less,

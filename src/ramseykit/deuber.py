@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, InputError, MpcExpansionError
-from .ipcore import FS_PREFIX_CAP
+from .errors import FS_PREFIX_CAP, BudgetExceededError, InputError, MpcExpansionError
 from .windows import SetWindow
 
 

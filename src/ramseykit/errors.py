@@ -19,6 +19,11 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_COLORING_BUDGET = 20_000_000
 DEFAULT_CST_BUDGET = 5_000_000
 
+# A k-prefix has 2^k - 1 nonempty index sets: the cap on every enumeration
+# of subset sums (fs windows, cst levels, zero-sum search, mpc rows) and on
+# the span tests of the columns condition.
+FS_PREFIX_CAP = 20
+
 
 class DegenerateMatrixError(Exception):
     """The zero matrix: every vector solves the system, so the partition

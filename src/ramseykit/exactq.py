@@ -83,7 +83,7 @@ class RationalMatrix:
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != ncols:
-                raise InputError(f"row {ln!r} does not have {ncols} entries")
+                raise InputError(f"row {quote(ln)} does not have {ncols} entries")
             grid.append([as_rational(p) for p in parts])
         return cls.from_rows(grid)
 
@@ -118,62 +118,35 @@ class RationalMatrix:
         )
 
 
-def _forward_eliminate(grid: list[list[Fraction]], width: int) -> list[int]:
-    """Row echelon form in place over the first `width` columns.
+def _reduce(grid: list[list[Fraction]], width: int) -> list[int]:
+    """RREF in place over the first `width` columns, in one Gauss-Jordan pass.
 
     Pivot rule: scan columns left to right, take the first nonzero entry
-    from the top among unused rows.  Returns the pivot column list; the
-    pivot of row r sits in column pivots[r].
+    from the top among unused rows, scale it to 1 and clear its column in
+    every other row.  Returns the pivot column list; the pivot of row r
+    sits in column pivots[r].
     """
     pivots: list[int] = []
-    prow = 0
-    nrows = len(grid)
     for col in range(width):
-        hit = None
-        for r in range(prow, nrows):
-            if grid[r][col] != 0:
-                hit = r
-                break
+        r = len(pivots)
+        hit = next((i for i in range(r, len(grid)) if grid[i][col]), None)
         if hit is None:
             continue
-        if hit != prow:
-            grid[prow], grid[hit] = grid[hit], grid[prow]
-        pv = grid[prow][col]
-        for r in range(prow + 1, nrows):
-            factor = grid[r][col]
-            if factor == 0:
-                continue
-            scale = factor / pv
-            row = grid[r]
-            src = grid[prow]
-            for cc in range(col, len(row)):
-                row[cc] -= src[cc] * scale
+        grid[r], grid[hit] = grid[hit], grid[r]
+        pv = grid[r][col]
+        row = grid[r] = [v / pv for v in grid[r]]
+        for i, other in enumerate(grid):
+            factor = other[col]
+            if factor and i != r:
+                grid[i] = [a - factor * b for a, b in zip(other, row)]
         pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
     return pivots
 
 
 def rank(matrix: RationalMatrix) -> int:
     """Rank over the rationals."""
     grid = [list(matrix.row(i)) for i in range(matrix.rows)]
-    return len(_forward_eliminate(grid, matrix.cols))
-
-
-def _reduce(grid: list[list[Fraction]], width: int) -> list[int]:
-    """RREF in place over the first `width` columns; returns the pivots."""
-    pivots = _forward_eliminate(grid, width)
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        pv = grid[r][col]
-        grid[r] = [v / pv for v in grid[r]]
-        for rr in range(r):
-            factor = grid[rr][col]
-            if factor == 0:
-                continue
-            grid[rr] = [a - factor * b for a, b in zip(grid[rr], grid[r])]
-    return pivots
+    return len(_reduce(grid, matrix.cols))
 
 
 def reduced_row_echelon(

@@ -13,17 +13,14 @@ from itertools import accumulate, combinations, islice, repeat
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BudgetExceededError, InputError, expression, fields
+from .errors import (FS_PREFIX_CAP, BudgetExceededError, InputError, expression,
+                     fields, quote)
 from .windows import SetWindow
 
 # The largest index a FiniteIndexSet may hold.  Index sets are stored as
 # tuples, so this bounds input size (witness files, divisibility chains),
 # not a representation.
 INDEX_CAP = 64
-
-# A k-prefix has 2^k - 1 nonempty index sets: the cap on every enumeration
-# of subset sums (fs windows, cst levels, zero-sum search, mpc rows).
-FS_PREFIX_CAP = 20
 
 Term = Union[int, tuple]
 
@@ -151,7 +148,7 @@ class IPSystemSpec:
     def parse(cls, text: str, horizon: Optional[int] = None) -> "IPSystemSpec":
         """Parse rule syntax: const:k, arith:a,d, geom:a,r, list:v1,v2,..."""
         if horizon is None and not text.strip().startswith("list:"):
-            raise InputError(f"rule {text!r} needs an explicit horizon")
+            raise InputError(f"rule {quote(text)} needs an explicit horizon")
         return expression(text, _RULE_KINDS, "IP-system rule", horizon)
 
 

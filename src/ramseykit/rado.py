@@ -4,9 +4,13 @@ Two independent routes to the same question live here.  The columns
 condition decides partition regularity of A x = 0 structurally and emits
 a checkable certificate: a partition I_1, ..., I_l of the column indices
 where the I_1 columns sum to zero and each later block's column sum lies
-in the rational span of all earlier columns.  The empirical route brute
-forces r-colorings of [1..N] and either proves every coloring contains a
-monochromatic solution or exhibits one that does not.
+in the rational span of all earlier columns.  It is found greedily: a
+block valid for some placed columns stays valid, outside them, for any
+larger placed set, so absorbing the first valid block never has to be
+undone, and a step with no valid block refutes regularity.  The
+empirical route brute forces r-colorings of [1..N] and either proves
+every coloring contains a monochromatic solution or exhibits one that
+does not.
 """
 
 from __future__ import annotations
@@ -17,10 +21,17 @@ from itertools import chain, combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import (DEFAULT_COLORING_BUDGET, BudgetExceededError,
-                     DegenerateMatrixError, InputError, json_int)
-from .exactq import RationalMatrix, in_column_span, reduced_row_echelon
+from .errors import (DEFAULT_COLORING_BUDGET, FS_PREFIX_CAP, BudgetExceededError,
+                     DegenerateMatrixError, InputError, json_int, quote)
+from .exactq import RationalMatrix, as_rational, in_column_span, reduced_row_echelon
 from .windows import SetWindow
+
+
+def _column_key(text: str) -> int:
+    """A coefficient key: a column index written as `to_json_dict` writes it."""
+    if str(int(text)) != text:
+        raise InputError(f"column key {quote(text)} is not a canonical integer")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,7 @@ class ColumnsCertificate:
         try:
             blocks = tuple(tuple(map(json_int, b)) for b in data["blocks"])
             coefficients = tuple(  # a coefficient is an integer or a "p/q" string
-                {int(j): Fraction(c if type(c) is str else json_int(c))
+                {_column_key(j): as_rational(c if type(c) is str else json_int(c))
                  for j, c in m.items()} for m in data["coefficients"])
         except (AttributeError, KeyError, TypeError, ValueError,
                 ZeroDivisionError) as exc:
@@ -135,12 +146,7 @@ class ForcingReport:
 
 
 def _column_sum(cols, indices, height) -> tuple[Fraction, ...]:
-    acc = [Fraction(0)] * height
-    for j in indices:
-        col = cols[j]
-        for i in range(height):
-            acc[i] += col[i]
-    return tuple(acc)
+    return tuple(sum((cols[j][i] for j in indices), Fraction(0)) for i in range(height))
 
 
 def _blocks(indices):
@@ -152,14 +158,17 @@ def _blocks(indices):
 def columns_condition(matrix: RationalMatrix) -> Optional[ColumnsCertificate]:
     """Decide partition regularity; return the first certificate found.
 
-    Search order: candidate I_1 runs over column subsets by increasing
-    size then lexicographically and must have exact zero column sum; the
-    leftover columns are absorbed block by block, each candidate block
-    (same order) tested for membership of its column sum in the span of
-    everything placed earlier.  Depth-first with an explicit stack, one
-    frame per placed block.  Dead remainder sets are memoized, so the whole
-    search stays polynomial-ish on desk-scale matrices.  Certificates are
-    not unique; this fixed order makes the output reproducible.
+    Greedy absorption: starting from no placed columns, take the first
+    block of the unplaced ones (by increasing size, then lexicographically)
+    that is valid -- its column sum is zero while nothing is placed, and
+    lies in the span of the placed columns after that -- until every
+    column is placed.  Validity only grows with the placed set S: for a
+    certificate I_1, ..., I_l and the first I_k not inside S, the part of
+    I_k outside S is valid at S.  So a step that finds no valid block
+    proves that no certificate exists, nothing is ever undone, and the
+    result is the least certificate in this fixed order, which makes the
+    output reproducible.  More than 2^FS_PREFIX_CAP span tests raise
+    BudgetExceededError.
     """
     if not matrix.is_integer():
         raise InputError("columns condition applies to integer matrices")
@@ -167,38 +176,28 @@ def columns_condition(matrix: RationalMatrix) -> Optional[ColumnsCertificate]:
         raise DegenerateMatrixError(
             "zero matrix: trivially satisfied by any assignment"
         )
-    q = matrix.cols
-    cols = [matrix.column(j) for j in range(q)]
-    zero = tuple([Fraction(0)] * matrix.rows)
-    dead: set[frozenset] = set()
-    # frames: (columns left, (block, coefficients) placed last, next blocks)
-    stack = [(tuple(range(q)), None, _blocks(range(q)))]
-    while stack:
-        remaining, _, blocks = stack[-1]
-        if not remaining:
-            placed = [step for _, step, _ in stack[1:]]
-            return ColumnsCertificate(
-                tuple(tuple(j + 1 for j in block) for block, _ in placed),
-                tuple({j + 1: c for j, c in coeff.items()}
-                      for _, coeff in placed[1:]))
-        if frozenset(remaining) in dead:
-            stack.pop()
-            continue
-        used = tuple(j for j in range(q) if j not in remaining)
-        for block in blocks:
+    cols = [matrix.column(j) for j in range(matrix.cols)]
+    placed = []  # (block, coefficients), in order
+    rest, tests = tuple(range(matrix.cols)), 0
+    while rest:
+        used = sorted(j for block, _ in placed for j in block)
+        for block in _blocks(rest):
+            tests += 1
+            if tests > 1 << FS_PREFIX_CAP:
+                raise BudgetExceededError(
+                    f"columns search made 2^{FS_PREFIX_CAP} span tests")
             target = _column_sum(cols, block, matrix.rows)
-            if not used:
-                coeff = {} if target == zero else None
-            else:
-                coeff = in_column_span(matrix, used, target)
+            coeff = (in_column_span(matrix, used, target) if used
+                     else None if any(target) else {})
             if coeff is not None:
-                rest = tuple(j for j in remaining if j not in block)
-                stack.append((rest, (block, coeff), _blocks(rest)))
                 break
         else:
-            dead.add(frozenset(remaining))
-            stack.pop()
-    return None
+            return None
+        placed.append((block, coeff))
+        rest = tuple(j for j in rest if j not in block)
+    return ColumnsCertificate(
+        tuple(tuple(j + 1 for j in block) for block, _ in placed),
+        tuple({j + 1: c for j, c in coeff.items()} for _, coeff in placed[1:]))
 
 
 def verify_certificate(matrix: RationalMatrix, cert: ColumnsCertificate) -> bool:
@@ -217,8 +216,7 @@ def verify_certificate(matrix: RationalMatrix, cert: ColumnsCertificate) -> bool
         raise InputError(f"certificate partition misses columns {missing}")
     cols = [matrix.column(j) for j in range(q)]
     height = matrix.rows
-    first = _column_sum(cols, [j - 1 for j in cert.blocks[0]], height)
-    if any(v != 0 for v in first):
+    if any(_column_sum(cols, [j - 1 for j in cert.blocks[0]], height)):
         return False
     earlier: set[int] = set(cert.blocks[0])
     for r in range(1, len(cert.blocks)):
@@ -226,12 +224,9 @@ def verify_certificate(matrix: RationalMatrix, cert: ColumnsCertificate) -> bool
         if any(j not in earlier for j in coeff):
             raise InputError("coefficient attached to a column outside earlier blocks")
         target = _column_sum(cols, [j - 1 for j in cert.blocks[r]], height)
-        combo = [Fraction(0)] * height
-        for j, c in coeff.items():
-            col = cols[j - 1]
-            for i in range(height):
-                combo[i] += Fraction(c) * col[i]
-        if tuple(combo) != target:
+        combo = tuple(sum((Fraction(c) * cols[j - 1][i] for j, c in coeff.items()),
+                          Fraction(0)) for i in range(height))
+        if combo != target:
             return False
         earlier.update(cert.blocks[r])
     return True

@@ -362,6 +362,38 @@ def test_deeply_nested_product_exits_one_without_traceback(tmp_path):
     assert len(proc.stderr) < 1024
 
 
+@pytest.mark.parametrize("case", ["matrix-row", "rule-horizon"])
+def test_long_input_is_quoted_not_echoed(case, tmp_path):
+    """A 10 kB matrix row of the wrong length and a 10 kB rule with no
+    horizon end in the input error with a short message."""
+    if case == "matrix-row":
+        (tmp_path / "long.mat").write_text("1 3\n" + " ".join(["1"] * 5000) + "\n")
+        argv = ("rado", "check", "--matrix", "long.mat")
+        detail = "does not have 3 entries"
+    else:
+        argv = ("cst", "search", "--set", "all:10", "--depth", "1",
+                "--specs", "const:" + "1" * 10000)
+        detail = "needs an explicit horizon"
+    proc = fresh_run(tmp_path, *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert detail in proc.stderr
+    assert len(proc.stderr) < 1024
+
+
+def test_columns_search_over_cap_exits_two(capsys, monkeypatch, tmp_path):
+    """`rado check` on 1 x 11 all-ones tests 2^11 - 1 blocks, past a cap of
+    2^10 span tests."""
+    monkeypatch.setattr(ramseykit.rado, "FS_PREFIX_CAP", 10)
+    path = tmp_path / "ones.mat"
+    path.write_text("1 11\n" + " 1" * 11 + "\n")
+    code, out = invoke(capsys, "rado", "check", "--matrix", str(path))
+    assert code == 2
+    assert json.loads(out) == {"detail": "columns search made 2^10 span tests",
+                               "verdict": "budget-exceeded"}
+
+
 def test_malformed_target_exits_one_without_output(capsys):
     for target in ("arc:0", "arc:1,2,3", "carc:1/2"):
         code = run(["dyn", "orbit", "--system", "rot:1/3", "--point", "0",

@@ -10,6 +10,7 @@ from ramseykit.exactq import (
     as_rational,
     in_column_span,
     rank,
+    reduced_row_echelon,
     solve_linear,
 )
 
@@ -90,6 +91,26 @@ def test_rank_invariant_under_row_swap_and_scaling():
         scaled = [r[:] for r in grid]
         scaled[i] = [F(-3, 2) * v for v in scaled[i]]
         assert rank(RationalMatrix.from_rows(scaled)) == base
+
+
+def test_reduced_row_echelon_form_on_random_matrices():
+    """Pivots strictly increase, each pivot is 1 with zeros elsewhere in its
+    column, zero rows come last, and the rows span the input's row space:
+    the input and the input stacked on the output have the same rank."""
+    rng = random.Random(22)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        grid = [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        m = RationalMatrix.from_rows(grid)
+        rows, pivots = reduced_row_echelon(m)
+        assert len(rows) == nrows
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for r, col in enumerate(pivots):
+            assert [row[col] for row in rows] == [F(int(i == r)) for i in range(nrows)]
+        assert not any(v for row in rows[len(pivots):] for v in row)
+        assert brute_rank(m) == len(pivots)
+        assert brute_rank(RationalMatrix.from_rows(grid + rows)) == len(pivots)
 
 
 def test_solve_identity():

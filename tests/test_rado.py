@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +10,7 @@ from ramseykit.errors import (
     InputError,
 )
 from ramseykit.exactq import RationalMatrix, reduced_row_echelon
+from ramseykit import rado
 from ramseykit.rado import (
     Coloring,
     ColumnsCertificate,
@@ -62,6 +63,50 @@ def naive_forced(matrix, colors, horizon, nontrivial=False):
         if ok:
             return coloring
     return None
+
+
+def oracle_rank(vectors) -> int:
+    """Rank of a list of rational vectors by plain row reduction."""
+    rows = [[F(v) for v in vec] for vec in vectors]
+    done = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(done, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        for r in range(done + 1, len(rows)):
+            f = rows[r][col] / rows[done][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[done])]
+        done += 1
+    return done
+
+
+def oracle_columns_regular(matrix) -> bool:
+    """Try every ordered set partition I_1, ..., I_l of the columns: I_1
+    sums to zero and each later block's sum is in the span of the earlier
+    columns, which holds exactly when it leaves their rank unchanged."""
+    cols = [matrix.column(j) for j in range(matrix.cols)]
+
+    def total(block):
+        return [sum(entries) for entries in zip(*(cols[j] for j in block))]
+
+    def extends(placed, rest):
+        if not rest:
+            return True
+        earlier = [cols[j] for j in placed]
+        for size in range(1, len(rest) + 1):
+            for block in combinations(rest, size):
+                target = total(block)
+                if placed:
+                    ok = oracle_rank(earlier + [target]) == oracle_rank(earlier)
+                else:
+                    ok = not any(target)
+                left = [j for j in rest if j not in block]
+                if ok and extends(placed + list(block), left):
+                    return True
+        return False
+
+    return extends([], list(range(matrix.cols)))
 
 
 # --- columns condition ----------------------------------------------------
@@ -170,6 +215,42 @@ def test_verdict_invariant_under_column_permutation():
             [[m.entry(i, perm[j]) for j in range(cols)] for i in range(2)]
         )
         assert (columns_condition(m) is None) == (columns_condition(permuted) is None)
+
+
+def census(rows, cols, bound):
+    """Every rows x cols integer matrix with entries in [-bound, bound] and
+    no zero row, in a fixed order."""
+    row_values = [v for v in product(range(-bound, bound + 1), repeat=cols) if any(v)]
+    return [RationalMatrix.from_rows(m) for m in product(row_values, repeat=rows)]
+
+
+def test_census_verdicts_are_rechecked():
+    """Both verdicts on small families: every certificate passes the
+    verifier and every refusal is confirmed by the ordered-partition oracle.
+    The 2x4 family (6400 systems) is sampled."""
+    families = [census(1, 3, 3), census(1, 4, 2),
+                random.Random(18).sample(census(2, 4, 1), 300)]
+    regular = []
+    for family in families:
+        count = 0
+        for m in family:
+            cert = columns_condition(m)
+            if cert is None:
+                assert not oracle_columns_regular(m)
+            else:
+                assert verify_certificate(m, cert)
+                count += 1
+        regular.append((count, len(family)))
+    assert regular[:2] == [(126, 342), (408, 624)]
+
+
+def test_columns_search_is_capped(monkeypatch):
+    """1 x q all-ones has no zero-sum block, so the search tests all
+    2^q - 1 blocks; one test past 2^FS_PREFIX_CAP is a budget error."""
+    monkeypatch.setattr(rado, "FS_PREFIX_CAP", 10)
+    assert columns_condition(RationalMatrix.from_rows([[1] * 10])) is None
+    with pytest.raises(BudgetExceededError, match="2\\^10 span tests"):
+        columns_condition(RationalMatrix.from_rows([[1] * 11]))
 
 
 def test_single_equation_examples():
@@ -409,10 +490,18 @@ def test_coloring_text_round_trip():
     {"blocks": [[1, 3], [1.5]], "coefficients": [{"1": "1", "3": "0"}]},
     {"blocks": [[True, 3], [2]], "coefficients": [{"1": "1", "3": "0"}]},
     {"blocks": [[1, 3], [2]], "coefficients": [["1"]]},
+    # spellings that Fraction and int take on some Python versions only
+    {"blocks": [[1, 3], [2]], "coefficients": [{"1": "1_0", "3": "0"}]},
+    {"blocks": [[1, 3], [2]], "coefficients": [{"1": "1 / 3", "3": "0"}]},
+    {"blocks": [[1, 3], [2]], "coefficients": [{"0_1": "1", "3": "0"}]},
+    {"blocks": [[1, 3], [2]], "coefficients": [{" 1": "1", "3": "0"}]},
+    {"blocks": [[1, 3], [2]], "coefficients": [{"+1": "1", "3": "0"}]},
+    {"blocks": [[1, 3], [2]], "coefficients": [{"01": "1", "3": "0"}]},
 ])
 def test_certificate_payload_takes_only_exact_numbers(payload):
-    """Block entries are JSON integers and coefficients are integers or
-    "p/q" strings; anything else, or a zero denominator, is an input error."""
+    """Block entries are JSON integers, coefficient keys are column indices
+    in canonical decimal and coefficients are integers or "p/q" strings;
+    anything else, or a zero denominator, is an input error."""
     with pytest.raises(InputError, match="bad certificate payload"):
         ColumnsCertificate.from_json_dict(payload)
 
