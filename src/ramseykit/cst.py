@@ -89,25 +89,45 @@ def _min_subset_sum(spec: IPSystemSpec) -> int:
 
 def _live_terms(b: int) -> int:
     """The members u of b with b & (b >> u) nonzero, the differences of two
-    members of b.  Each step takes the next member x of b, smallest first,
-    and settles every open u with x + u in b, then tests the largest open u
-    (the one the fewest members can settle) by itself.  So at most |b|
-    steps, and on a window with few dead ends the smallest members settle
+    members of b.
+
+    First the residue class: with x_1 the least member and d the gap to
+    the next, a b inside the class x_1 mod d has every difference a
+    multiple of d, so when d does not divide x_1 no member is live and one
+    AND against that class's mask answers.  Otherwise the scan: x + u = y
+    with x <= u puts x in the lower half of b, so only the members
+    x <= max(b)/2 are taken, smallest first; each marks every u it settles
+    (b & (b >> x)), and itself when that is nonempty.  After each step the
+    largest open u (the one the fewest members can settle) is tested by
+    itself, so on a window with few dead ends the smallest members settle
     almost every u at once."""
+    low = b & -b
+    x1 = low.bit_length() - 1
+    above = b ^ low
+    if above:
+        d = (above & -above).bit_length() - 1 - x1
+        r = x1 % d
+        if r:
+            k = b.bit_length() // d + 1
+            if b & (int(("0" * (d - 1) + "1") * k, 2) << r) == b:
+                return 0
+    rest = b & ((1 << ((b.bit_length() + 1) >> 1)) - 1)  # x <= max(b)/2
     live = 0
-    todo = rest = b
+    todo = b
     while todo and rest:
         x = rest & -rest
         rest ^= x
-        hit = todo & (b >> (x.bit_length() - 1))
-        live |= hit
-        todo ^= hit
+        hit = b & (b >> (x.bit_length() - 1))
+        if hit:
+            hit |= x
+            live |= hit
+        todo &= ~(hit | x)
         if todo:
             u = todo.bit_length() - 1
             todo ^= 1 << u
             if b & (b >> u):
                 live |= 1 << u
-    # once every member of b has been taken, the open u are dead ends
+    # once every lower-half member has been taken, the open u are dead ends
     return live
 
 
@@ -148,7 +168,11 @@ def cst_search(
     tests B_i itself.  L_i is found once per admissible mask, before the
     level's table is built, and a level with an empty L_i has no passing
     position: it is refuted without a table, so the odds under x + y = z
-    answer at once however wide the level.
+    answer at once however wide the level.  A B_i inside one residue class
+    r mod d with d not dividing r, d being its first gap, has an empty L_i
+    (every difference is a multiple of d, and no member is), found with one
+    AND whatever its size; any other B_i is scanned over its members up to
+    max(B_i)/2, the smaller of any two members summing into B_i.
 
     The budget counts every (a, alpha) position in scan order, including
     those that fail, are skipped as duplicates or are not live: each is

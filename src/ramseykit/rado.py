@@ -145,8 +145,9 @@ class ForcingReport:
     extremal_witness: Optional[Coloring]
 
 
-def _column_sum(cols, indices, height) -> tuple[Fraction, ...]:
-    return tuple(sum((cols[j][i] for j in indices), Fraction(0)) for i in range(height))
+def _column_sum(cols, indices, height) -> tuple:
+    """The sum of the listed columns, in the columns' own number type."""
+    return tuple(sum(cols[j][i] for j in indices) for i in range(height))
 
 
 def _blocks(indices):
@@ -176,7 +177,8 @@ def columns_condition(matrix: RationalMatrix) -> Optional[ColumnsCertificate]:
         raise DegenerateMatrixError(
             "zero matrix: trivially satisfied by any assignment"
         )
-    cols = [matrix.column(j) for j in range(matrix.cols)]
+    # the matrix is integer, so the block sums add Python ints
+    cols = [tuple(map(int, matrix.column(j))) for j in range(matrix.cols)]
     placed = []  # (block, coefficients), in order
     rest, tests = tuple(range(matrix.cols)), 0
     while rest:

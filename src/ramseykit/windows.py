@@ -40,11 +40,17 @@ class SetWindow:
 
     @cached_property
     def mask(self) -> int:
-        """The members as one int, bit n set when n is a member."""
-        buf = bytearray((self.horizon >> 3) + 1)
+        """The members as one int, bit n set when n is a member.
+
+        Built as the binary digits in one buffer, most significant first,
+        and parsed by one int(buf, 2), which Python's digit limit leaves
+        alone for base 2.  The buffer takes horizon + 1 bytes, not the
+        horizon / 8 of a packed one, and is never copied."""
+        horizon = self.horizon
+        buf = bytearray(b"0") * (horizon + 1)
         for v in self.members:
-            buf[v >> 3] |= 1 << (v & 7)
-        return int.from_bytes(buf, "little")
+            buf[horizon - v] = 49  # ord("1")
+        return int(buf, 2)
 
     def __contains__(self, n) -> bool:
         return n in self.member_set

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 
@@ -436,22 +440,59 @@ def test_wide_refutation_builds_no_candidate_table():
 
 def test_live_terms_match_their_definition():
     """_live_terms(b) is {u in b : b & (b >> u) != 0}, the members of b
-    that are a difference of two members of b."""
+    that are a difference of two members of b.  The masks cover both of
+    its exits: one residue class r mod d with d not dividing r, refuted by
+    its first gap, and everything else, scanned over the lower half."""
     rng = random.Random(7)
-    masks = [0, 1 << 1, 1 << 40]
+    masks = [0, 1, 1 << 1, 1 << 40, 0b11, 0b101]
     for n in (1, 2, 3, 10, 64, 200):
         masks.append((1 << (n + 1)) - 2)  # the range 1..n
-        for modulus in (2, 3, 5):
+        for modulus in (2, 3, 5, 6):
             for residue in range(modulus):
                 masks.append(SetWindow.residue_class(residue, modulus, n).mask)
+        # sum-free, but not inside one class: {2, 3} mod 5 and (n/3, 2n/3]
+        masks.append(sum(1 << x for x in range(1, n + 1) if x % 5 in (2, 3)))
+        masks.append(sum(1 << x for x in range(n // 3 + 1, 2 * n // 3 + 1)))
+        # the odds, with a first gap of 6: the class test does not apply
+        masks.append(sum(1 << x for x in [1] + list(range(7, n + 1, 2))))
+        # d divides x_1, so the scan decides: {4, 6, 8, ...}, {6, 9, 12, ...}
+        masks.append(sum(1 << x for x in range(4, n + 1, 2)))
+        masks.append(sum(1 << x for x in range(6, n + 1, 3)))
     for _ in range(300):
         n = rng.randint(1, 150)
         members = rng.sample(range(n + 1), rng.randint(1, n + 1))
         masks.append(sum(1 << x for x in members))
+    for _ in range(300):
+        # deeper levels' sets B & (B >> u), from classes and random sets
+        n = rng.randint(1, 150)
+        modulus = rng.randint(2, 7)
+        b = SetWindow.residue_class(rng.randrange(modulus), modulus, n).mask
+        if rng.random() < 0.5:
+            b = sum(1 << x for x in rng.sample(range(n + 1), rng.randint(1, n + 1)))
+        for _ in range(rng.randint(1, 3)):
+            b &= b >> rng.randint(0, n // 2)
+            masks.append(b)
     for b in masks:
         members = {x for x in range(b.bit_length()) if b >> x & 1}
         live = {u for u in members if any(x + u in members for x in members)}
         assert cst._live_terms(b) == sum(1 << u for u in live), bin(b)
+
+
+def test_a_million_odds_are_refuted_by_their_residue_class():
+    """Every difference of two odds is even, so level 0 of x + y = z on the
+    odds to 10^6 has no live term, which their first gap shows at once;
+    a scan of the 500,000 members one at a time runs past the timeout.
+    A fresh interpreter, so the timeout bounds the whole call."""
+    script = textwrap.dedent("""
+        from ramseykit import IPSystemSpec, SetWindow
+        from ramseykit.cst import cst_search
+        specs = [IPSystemSpec.parse("const:1", horizon=1)]
+        assert cst_search(SetWindow.odds(10**6), specs, 2) is None
+    """)
+    src = os.path.dirname(os.path.dirname(cst.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], timeout=10,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
 
 
 def test_candidate_table_keeps_the_first_index_set_of_each_sum():

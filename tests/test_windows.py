@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ramseykit.errors import InputError
@@ -16,6 +18,12 @@ def test_mask_matches_members():
     assert w.mask == sum(1 << v for v in w.members)
     assert SetWindow.odds(9).mask == 0b1010101010
     assert SetWindow(5, ()).mask == 0
+    # past Python's int/str digit limit, which base 2 does not have
+    n = 10**5
+    assert SetWindow.odds(n).mask == 2 * (4 ** (n // 2) - 1) // 3
+    sparse = SetWindow.from_members(n, random.Random(23).sample(range(1, n + 1), 300))
+    assert sparse.mask == sum(1 << v for v in sparse.members)
+    assert SetWindow(n, ()).mask == 0
 
 
 def test_mask_is_cached_and_leaves_equality_alone():
