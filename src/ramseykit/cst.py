@@ -63,7 +63,7 @@ class CstWitness:
             return cls(
                 json_int(data["depth"]),
                 tuple(map(json_int, data["a_values"])),
-                tuple(FiniteIndexSet.from_iterable(map(json_int, a))
+                tuple(FiniteIndexSet(tuple(map(json_int, a)))
                       for a in data["alphas"]),
                 json_int(data["system_count"]),
             )
@@ -74,8 +74,6 @@ class CstWitness:
 def _common_horizon(specs: Sequence[IPSystemSpec]) -> int:
     if not specs:
         raise InputError("need at least one IP-system")
-    if any(s.width != 1 for s in specs):
-        raise InputError("witness search runs on scalar IP-systems")
     horizons = {s.horizon for s in specs}
     if len(horizons) != 1:
         raise InputError("all IP-systems must share one horizon")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, combinations, islice, repeat
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import (FS_PREFIX_CAP, BudgetExceededError, InputError, expression,
                      fields, quote)
@@ -21,8 +21,6 @@ from .windows import SetWindow
 # tuples, so this bounds input size (witness files, divisibility chains),
 # not a representation.
 INDEX_CAP = 64
-
-Term = Union[int, tuple]
 
 
 @dataclass(frozen=True)
@@ -71,69 +69,43 @@ def alpha_less(a: FiniteIndexSet, b: FiniteIndexSet) -> bool:
     return a.largest() < b.smallest()
 
 
-def _as_term(value, width: int) -> Term:
-    if width == 1:
-        if isinstance(value, int):
-            return value
-        raise InputError("scalar IP-system terms must be integers")
-    if isinstance(value, (tuple, list)) and len(value) == width and all(
-        isinstance(v, int) for v in value
-    ):
-        return tuple(value)
-    raise InputError(f"vector term of width {width} expected, got {value!r}")
-
-
 @dataclass(frozen=True)
 class IPSystemSpec:
-    """A generator sequence s_1, s_2, ... with finite horizon.
+    """A generator sequence s_1, s_2, ... of integers with finite horizon.
 
-    Terms are integers (width 1) or integer tuples (width > 1).  The
-    `rule` string records how the sequence was described ("const:2",
-    "arith:1,3", "geom:1,2", "list:...") for report echoing.
+    Several systems, such as the coordinates of a vector-valued one, are a
+    list of specs.  The `rule` string records how the sequence was
+    described ("const:2", "arith:1,3", "geom:1,2", "list:...") for report
+    echoing.
     """
 
     rule: str
-    terms: tuple[Term, ...]
-    width: int = 1
+    terms: tuple[int, ...]
 
     def __post_init__(self):
         if not self.terms:
             raise InputError("IP-system needs at least one generator term")
-        if self.width < 1:
-            raise InputError("width must be >= 1")
-        for t in self.terms:
-            _as_term(t, self.width)
+        if not all(isinstance(t, int) for t in self.terms):
+            raise InputError("scalar IP-system terms must be integers")
 
     @property
     def horizon(self) -> int:
         return len(self.terms)
 
-    def term(self, n: int) -> Term:
-        """1-based generator term s_n."""
-        if not 1 <= n <= self.horizon:
-            raise InputError(f"index {n} beyond horizon {self.horizon}")
-        return self.terms[n - 1]
-
     @classmethod
-    def from_terms(cls, values: Sequence, rule: Optional[str] = None) -> "IPSystemSpec":
-        vals = list(values)
-        if vals and isinstance(vals[0], (tuple, list)):
-            width = len(vals[0])
-            terms = tuple(_as_term(v, width) for v in vals)
-            return cls(rule or "list:<vector>", terms, width)
-        terms = tuple(_as_term(v, 1) for v in vals)
-        return cls(rule or ("list:" + ",".join(str(v) for v in vals)), terms, 1)
+    def from_terms(cls, values: Sequence[int], rule: Optional[str] = None) -> "IPSystemSpec":
+        terms = tuple(values)
+        return cls(rule or ("list:" + ",".join(map(str, terms))), terms)
 
     @classmethod
     def constant(cls, k: int, horizon: int) -> "IPSystemSpec":
-        return cls(f"const:{k}", tuple([k] * horizon), 1)
+        return cls(f"const:{k}", tuple([k] * horizon))
 
     @classmethod
     def arithmetic(cls, start: int, step: int, horizon: int) -> "IPSystemSpec":
         return cls(
             f"arith:{start},{step}",
             tuple(start + n * step for n in range(horizon)),
-            1,
         )
 
     @classmethod
@@ -142,7 +114,7 @@ class IPSystemSpec:
             raise InputError("geometric ratio must be nonzero")
         # start * ratio**n by one multiplication per term, not one power each
         terms = accumulate(repeat(ratio), mul, initial=start)
-        return cls(f"geom:{start},{ratio}", tuple(islice(terms, max(horizon, 0))), 1)
+        return cls(f"geom:{start},{ratio}", tuple(islice(terms, max(horizon, 0))))
 
     @classmethod
     def parse(cls, text: str, horizon: Optional[int] = None) -> "IPSystemSpec":
@@ -167,19 +139,14 @@ _RULE_KINDS = {
 }
 
 
-def ip_term(spec: IPSystemSpec, alpha: FiniteIndexSet) -> Term:
-    """The finite sum s_alpha of the generator terms selected by alpha."""
+def ip_term(spec: IPSystemSpec, alpha: FiniteIndexSet) -> int:
+    """The finite sum s_alpha of the integer terms selected by alpha; a
+    vector-valued system is a list of specs, one ip_term per coordinate."""
     if alpha.largest() > spec.horizon:
         raise InputError(
             f"index {alpha.largest()} beyond spec horizon {spec.horizon}"
         )
-    if spec.width == 1:
-        return sum(spec.terms[n - 1] for n in alpha)
-    acc = [0] * spec.width
-    for n in alpha:
-        for i, v in enumerate(spec.terms[n - 1]):
-            acc[i] += v
-    return tuple(acc)
+    return sum(spec.terms[n - 1] for n in alpha)
 
 
 def finite_sums(terms: Iterable[int]) -> set:
@@ -200,8 +167,6 @@ def check_fs_prefix(k: int) -> None:
 
 def fs_enumerate(spec: IPSystemSpec, k: int) -> SetWindow:
     """All finite sums over nonempty subsets of the first k generators."""
-    if spec.width != 1:
-        raise InputError("finite-sum windows are defined for scalar systems only")
     if not 1 <= k <= spec.horizon:
         raise InputError(f"prefix length {k} outside 1..{spec.horizon}")
     check_fs_prefix(k)
@@ -243,8 +208,6 @@ def find_divisible_subsequence(
     two agree mod c (or one is 0), giving a consecutive run whose sum is
     divisible by c.
     """
-    if spec.width != 1:
-        raise InputError("divisibility search needs a scalar system")
     if c < 1 or n < 1:
         raise InputError("modulus and count must be >= 1")
     if spec.horizon < n * c:

@@ -342,7 +342,8 @@ def solve_in_cell(
 
 def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
     """Lexicographically least coloring of the longest solution-free
-    prefix [1..n], n <= horizon, with color(1) pinned to 0.
+    prefix [1..n], n <= horizon, with color(1) pinned to 0, and the
+    nontriviality used (default_nontrivial when None).
 
     Depth-first with an explicit cursor: depth n tries color c next.  On
     first reaching n it files shell n's solutions under their largest
@@ -352,6 +353,12 @@ def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
     against the budget; the record prefix is copied only when the search
     backtracks into the record depth.
     """
+    if colors < 1:
+        raise InputError("need at least one color")
+    if horizon < 1:
+        raise InputError("horizon must be >= 1")
+    if nontrivial is None:
+        nontrivial = default_nontrivial(matrix)
     shells = _solution_shells(matrix, horizon, None, nontrivial, distinct)
     coloring = [0] * (horizon + 1)  # coloring[k] is the color of k
     levels: dict = {}  # levels[n]: each solution's entries other than n
@@ -384,7 +391,7 @@ def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
             n, c = n + 1, 0
             continue
         c += 1
-    return coloring[1:] if n else record
+    return (coloring[1:] if n else record), nontrivial
 
 
 def empirical_pr(
@@ -399,13 +406,8 @@ def empirical_pr(
     monochromatic solution, otherwise the lexicographically least witness
     coloring (the color of 1 is pinned to 0, which costs no generality).
     """
-    if colors < 1:
-        raise InputError("need at least one color")
-    if horizon < 1:
-        raise InputError("horizon must be >= 1")
-    if nontrivial is None:
-        nontrivial = default_nontrivial(matrix)
-    prefix = _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct)
+    prefix, nontrivial = _coloring_search(
+        matrix, colors, horizon, budget, nontrivial, distinct)
     if len(prefix) == horizon:
         witness = Coloring(horizon, colors, tuple(prefix))
         return EmpiricalResult("witness", witness, nontrivial)
@@ -423,13 +425,8 @@ def forcing_number(
     forced, with the witness at N - 1.  One search runs at max_horizon;
     the search at each smaller N would visit a prefix of its nodes, so the
     budget binds exactly as on a sweep of per-N searches."""
-    if colors < 1:
-        raise InputError("need at least one color")
-    if max_horizon < 1:
-        raise InputError("horizon must be >= 1")
-    if nontrivial is None:
-        nontrivial = default_nontrivial(matrix)
-    prefix = _coloring_search(matrix, colors, max_horizon, budget, nontrivial, False)
+    prefix, nontrivial = _coloring_search(
+        matrix, colors, max_horizon, budget, nontrivial, False)
     witness = Coloring(len(prefix), colors, tuple(prefix)) if prefix else None
     forced_at = len(prefix) + 1 if len(prefix) < max_horizon else None
     return ForcingReport(colors, nontrivial, forced_at, witness)

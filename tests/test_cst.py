@@ -547,11 +547,12 @@ def test_witness_json_round_trip():
 @pytest.mark.parametrize("field, value", [
     ("a_values", [1.5]), ("a_values", [True]), ("a_values", [float("inf")]),
     ("a_values", [1e300]), ("alphas", [[True]]), ("depth", True),
-    ("system_count", "1"),
+    ("system_count", "1"), ("alphas", [[1, 1]]), ("alphas", [[2, 1]]),
 ])
 def test_witness_payload_takes_only_json_integers(field, value):
     """Floats, bools and strings are input errors: 1.5 is not read as the
-    valid a-value 1, and infinity is no OverflowError."""
+    valid a-value 1, and infinity is no OverflowError.  An alpha must be
+    strictly increasing as given; it is not sorted or deduplicated."""
     data = {"depth": 1, "a_values": [1], "alphas": [[1]], "system_count": 1}
     data[field] = value
     with pytest.raises(InputError, match="bad witness payload"):
@@ -627,21 +628,18 @@ def test_tower_combination_systems_are_capped_by_the_budget():
     assert verify_mpc(window, MpcParams(3, 1, 1), got.system.generators)
 
 
-def test_tower_families_form_a_vector_system():
-    """The family columns are a vector-valued IP-system: tuples indexed by
-    any index set are the coordinate-wise finite sums."""
+def test_tower_families_form_a_list_of_systems():
+    """Each family column is a scalar IP-system, and the list of them is the
+    vector-valued system: any index set picks the coordinate-wise finite
+    sums, which are generators of a tower."""
     got = mpc_from_cst(SetWindow.full(300), 1, 1, 1, family_depth=2)
     assert got is not None
-    vec = IPSystemSpec.from_terms(list(zip(*got.families)))
-    assert vec.width == 2
+    coords = [IPSystemSpec.from_terms(list(fam)) for fam in got.families]
+    assert len(coords) == 2 and all(s.horizon == 2 for s in coords)
     alpha = FiniteIndexSet.of(1, 2)
-    combined = ip_term(vec, alpha)
-    per_coordinate = tuple(
-        ip_term(IPSystemSpec.from_terms(list(fam)), alpha)
-        for fam in got.families
-    )
-    assert combined == per_coordinate
-    assert verify_mpc(SetWindow.full(300), MpcParams(1, 1, 1), combined)
+    per_coordinate = tuple(ip_term(s, alpha) for s in coords)
+    assert per_coordinate == tuple(map(sum, got.families))
+    assert verify_mpc(SetWindow.full(300), MpcParams(1, 1, 1), per_coordinate)
 
 
 @st.composite

@@ -44,8 +44,8 @@ def test_index_set_validation():
 def test_ip_term():
     assert ip_term(IPSystemSpec.from_terms([3, 1, 4]), FiniteIndexSet.of(1, 3)) == 7
     assert ip_term(IPSystemSpec.constant(1, 8), FiniteIndexSet.of(1, 2, 3, 4, 5)) == 5
-    vec = IPSystemSpec.from_terms([(1, 2), (3, 4)])
-    assert ip_term(vec, FiniteIndexSet.of(1, 2)) == (4, 6)
+    with pytest.raises(InputError, match="^scalar IP-system terms must be integers$"):
+        IPSystemSpec.from_terms([(1, 2), (3, 4)])
     with pytest.raises(InputError):
         ip_term(IPSystemSpec.from_terms([1, 2]), FiniteIndexSet.of(3))
 
