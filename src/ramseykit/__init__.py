@@ -26,12 +26,12 @@ _PUBLIC = {
                "orbit_hits piecewise_syndetic_window product_return_times "
                "strauss_set syndetic_gap",
     "errors": "BudgetExceededError DegenerateMatrixError InputError MpcExpansionError",
-    "exactq": "Rational RationalMatrix in_column_span rank solve_linear",
+    "exactq": "RationalMatrix in_column_span rank solve_linear",
     "ipcore": "FiniteIndexSet IPSystemSpec alpha_less find_divisible_subsequence "
               "fs_enumerate ip_term zero_sum_mod",
     "rado": "Coloring ColumnsCertificate EmpiricalResult SolutionVector "
-            "columns_condition empirical_pr schur_number single_equation_pr "
-            "solve_in_cell vdw_number verify_certificate",
+            "columns_condition empirical_pr schur_number solve_in_cell "
+            "vdw_number verify_certificate",
     "windows": "SetWindow",
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}

@@ -366,8 +366,7 @@ class MpcFromCstResult:
 def _pull_back(families, alphas):
     """Re-index every family along a chain of index sets: member n of the
     new family is the finite sum that alphas[n] selects from the old one."""
-    specs = map(IPSystemSpec.from_terms, families)
-    return [[ip_term(spec, a) for a in alphas] for spec in specs]
+    return [[sum(fam[n - 1] for n in a) for a in alphas] for fam in families]
 
 
 def mpc_from_cst(
@@ -414,8 +413,7 @@ def mpc_from_cst(
     for r in range(m + 1):
         keep = family_depth * c ** (2 * (m - r))
         rows = list(zip(*families)) or [()] * (keep * c)  # level 0: all zero
-        specs = [IPSystemSpec("combo:" + ",".join(map(str, pattern)),
-                              tuple(sum(map(mul, pattern, row)) for row in rows))
+        specs = [IPSystemSpec(tuple(sum(map(mul, pattern, row)) for row in rows))
                  for pattern in product(range(-p, p + 1), repeat=r)]
         wit = cst_search(window, specs, keep * c, budget)
         if wit is None:

@@ -15,9 +15,6 @@ from typing import Optional, Sequence
 
 from .errors import InputError, quote
 
-# The rational scalar type used across the toolkit.
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and "p/q" strings; floats are refused."""

@@ -40,22 +40,11 @@ class FiniteIndexSet:
         if self.members[-1] > INDEX_CAP:
             raise InputError(f"index {self.members[-1]} exceeds the cap {INDEX_CAP}")
 
-    @classmethod
-    def of(cls, *indices: int) -> "FiniteIndexSet":
-        return cls(tuple(sorted(set(indices))))
-
-    @classmethod
-    def from_iterable(cls, indices: Iterable[int]) -> "FiniteIndexSet":
-        return cls(tuple(sorted(set(indices))))
-
     def smallest(self) -> int:
         return self.members[0]
 
     def largest(self) -> int:
         return self.members[-1]
-
-    def union(self, other: "FiniteIndexSet") -> "FiniteIndexSet":
-        return FiniteIndexSet.from_iterable(self.members + other.members)
 
     def __iter__(self):
         return iter(self.members)
@@ -73,13 +62,11 @@ def alpha_less(a: FiniteIndexSet, b: FiniteIndexSet) -> bool:
 class IPSystemSpec:
     """A generator sequence s_1, s_2, ... of integers with finite horizon.
 
-    Several systems, such as the coordinates of a vector-valued one, are a
-    list of specs.  The `rule` string records how the sequence was
-    described ("const:2", "arith:1,3", "geom:1,2", "list:...") for report
-    echoing.
+    A spec is its integer terms: two specs are equal exactly when their
+    terms are.  Several systems, such as the coordinates of a vector-valued
+    one, are a list of specs.
     """
 
-    rule: str
     terms: tuple[int, ...]
 
     def __post_init__(self):
@@ -93,20 +80,16 @@ class IPSystemSpec:
         return len(self.terms)
 
     @classmethod
-    def from_terms(cls, values: Sequence[int], rule: Optional[str] = None) -> "IPSystemSpec":
-        terms = tuple(values)
-        return cls(rule or ("list:" + ",".join(map(str, terms))), terms)
+    def from_terms(cls, values: Sequence[int]) -> "IPSystemSpec":
+        return cls(tuple(values))
 
     @classmethod
     def constant(cls, k: int, horizon: int) -> "IPSystemSpec":
-        return cls(f"const:{k}", tuple([k] * horizon))
+        return cls(tuple([k] * horizon))
 
     @classmethod
     def arithmetic(cls, start: int, step: int, horizon: int) -> "IPSystemSpec":
-        return cls(
-            f"arith:{start},{step}",
-            tuple(start + n * step for n in range(horizon)),
-        )
+        return cls(tuple(start + n * step for n in range(horizon)))
 
     @classmethod
     def geometric(cls, start: int, ratio: int, horizon: int) -> "IPSystemSpec":
@@ -114,7 +97,7 @@ class IPSystemSpec:
             raise InputError("geometric ratio must be nonzero")
         # start * ratio**n by one multiplication per term, not one power each
         terms = accumulate(repeat(ratio), mul, initial=start)
-        return cls(f"geom:{start},{ratio}", tuple(islice(terms, max(horizon, 0))))
+        return cls(tuple(islice(terms, max(horizon, 0))))
 
     @classmethod
     def parse(cls, text: str, horizon: Optional[int] = None) -> "IPSystemSpec":
@@ -128,7 +111,7 @@ def _list_rule(rest: str, horizon: Optional[int]) -> IPSystemSpec:
     vals = fields(rest, int, "list rule")
     if horizon is not None and horizon > len(vals):
         raise InputError("requested horizon exceeds list length")
-    return IPSystemSpec.from_terms(vals, rule="list:" + rest)
+    return IPSystemSpec.from_terms(vals)
 
 
 _RULE_KINDS = {

@@ -96,28 +96,6 @@ class Coloring:
                for c in self.colors):
             raise InputError("color indices must lie in 0..r-1")
 
-    def cells(self) -> list[tuple[int, ...]]:
-        out = [[] for _ in range(self.color_count)]
-        for n, c in enumerate(self.colors, start=1):
-            out[c].append(n)
-        return [tuple(cell) for cell in out]
-
-    @classmethod
-    def from_text(cls, text: str) -> "Coloring":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) != 2:
-            raise InputError('coloring text must be "N r" plus one line of colors')
-        try:
-            n, r = (int(p) for p in lines[0].split())
-            colors = tuple(int(p) for p in lines[1].split())
-        except ValueError as exc:
-            raise InputError("coloring lines must hold integers") from exc
-        return cls(n, r, colors)
-
-    def to_text(self) -> str:
-        head = f"{self.horizon} {self.color_count}"
-        return head + "\n" + " ".join(str(c) for c in self.colors) + "\n"
-
 
 @dataclass(frozen=True)
 class SolutionVector:
@@ -234,21 +212,6 @@ def verify_certificate(matrix: RationalMatrix, cert: ColumnsCertificate) -> bool
     return True
 
 
-def single_equation_pr(coeffs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Partition regularity of one equation: the smallest (by size, then
-    lexicographically) nonempty zero-sum subset of the coefficients,
-    returned as 1-based indices, or None."""
-    vals = list(coeffs)
-    if not vals:
-        raise InputError("need at least one coefficient")
-    if any((not isinstance(v, int)) or v == 0 for v in vals):
-        raise InputError("coefficients must be nonzero integers")
-    for combo in _blocks(range(len(vals))):
-        if sum(vals[j] for j in combo) == 0:
-            return tuple(j + 1 for j in combo)
-    return None
-
-
 def default_nontrivial(matrix: RationalMatrix) -> bool:
     """Nontriviality defaults to ON exactly when the constant vector
     solves the system (every row sums to zero), since otherwise forcing
@@ -349,9 +312,10 @@ def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
     first reaching n it files shell n's solutions under their largest
     entries, which completes level n, so a search that stops early lists
     no more; n may not take color c when all the other entries of a
-    level-n solution have color c.  Every tried color counts one node
-    against the budget; the record prefix is copied only when the search
-    backtracks into the record depth.
+    level-n solution have color c.  The coloring is a stack exactly as
+    deep as the search, so a horizon far past the budget costs no memory.
+    Every tried color counts one node against the budget; the record
+    prefix is copied only when the search backtracks into the record depth.
     """
     if colors < 1:
         raise InputError("need at least one color")
@@ -360,7 +324,7 @@ def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
     if nontrivial is None:
         nontrivial = default_nontrivial(matrix)
     shells = _solution_shells(matrix, horizon, None, nontrivial, distinct)
-    coloring = [0] * (horizon + 1)  # coloring[k] is the color of k
+    coloring = [0]  # coloring[k] is the color of k, for k below the depth
     levels: dict = {}  # levels[n]: each solution's entries other than n
     record: list[int] = []
     deepest = pulled = ticks = 0
@@ -370,7 +334,7 @@ def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
             n -= 1
             if n == deepest > len(record):
                 record = coloring[1:n + 1]
-            c = coloring[n] + 1
+            c = coloring.pop() + 1
             continue
         ticks += 1
         if ticks > budget:
@@ -386,7 +350,7 @@ def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
             else:
                 break  # n would complete a monochromatic solution
         else:
-            coloring[n] = c
+            coloring.append(c)
             deepest = max(deepest, n)
             n, c = n + 1, 0
             continue

@@ -91,7 +91,8 @@ def test_criterion_01_columns_condition_vs_empirical_oracle():
             res = rk.empirical_pr(matrix, p - 1, 20, nontrivial=True)
             assert res.verdict == "witness", (coeffs, p)
             assert res.witness.horizon == 20
-            for cell in res.witness.cells():
+            for c in range(p - 1):
+                cell = [n for n, k in enumerate(res.witness.colors, start=1) if k == c]
                 assert _monochromatic_solution(coeffs, cell) is None, (coeffs, p)
         assert not_regular == 108
         elapsed = time.monotonic() - started

@@ -241,6 +241,19 @@ def test_rado_empirical_forced_early_lists_no_further(tmp_path):
     assert '"verdict":"forced"' in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [("schur-number", "--colors", "2"),
+                                  ("vdw-number", "--colors", "2", "--length", "3")])
+def test_forcing_sweep_far_past_its_budget_answers(tmp_path, argv):
+    """The coloring search holds only the colors up to its depth: one list
+    entry per element up to --max ended in a MemoryError traceback."""
+    runs = [fresh_run(tmp_path, "rado", *argv, "--max", top, timeout=10)
+            for top in ("2000000000000000000", "50")]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+    huge, small = ({k: v for k, v in json.loads(proc.stdout).items() if k != "inputs"}
+                   for proc in runs)
+    assert huge == small
+
+
 def test_cst_search_absent_and_mpc(capsys):
     rep = report(capsys, "cst", "search", "--set", "odds:999",
                  "--specs", "const:1", "--depth", "2", "--spec-horizon", "6")
@@ -719,7 +732,7 @@ print(json.dumps({
 }))
 """
     proc = fresh_python(tmp_path, code)
-    assert json.loads(proc.stdout) == {"count": 54, "bound": 54, "same": True,
+    assert json.loads(proc.stdout) == {"count": 52, "bound": 52, "same": True,
                                        "listed": True}
 
 

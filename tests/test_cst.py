@@ -174,12 +174,12 @@ def test_negative_terms_allow_a_beyond_horizon():
 
 def test_verify_examples():
     specs = [IPSystemSpec.constant(1, 6)]
-    wit = CstWitness(2, (1, 1), (FiniteIndexSet.of(1), FiniteIndexSet.of(2)), 1)
+    wit = CstWitness(2, (1, 1), (FiniteIndexSet((1,)), FiniteIndexSet((2,))), 1)
     assert verify_cst_witness(SetWindow.full(20), specs, wit)
     assert not verify_cst_witness(SetWindow.full(3), specs, wit)
-    clash = CstWitness(2, (1, 1), (FiniteIndexSet.of(1), FiniteIndexSet.of(1)), 1)
+    clash = CstWitness(2, (1, 1), (FiniteIndexSet((1,)), FiniteIndexSet((1,))), 1)
     assert not verify_cst_witness(SetWindow.full(20), specs, clash)
-    beyond = CstWitness(1, (1,), (FiniteIndexSet.of(9),), 1)
+    beyond = CstWitness(1, (1,), (FiniteIndexSet((9,)),), 1)
     with pytest.raises(InputError):
         verify_cst_witness(SetWindow.full(20), specs, beyond)
 
@@ -500,7 +500,7 @@ def test_candidate_table_keeps_the_first_index_set_of_each_sum():
     the witness, at position 5, and the second is never tried."""
     specs = [IPSystemSpec.from_terms([1, 1, 2])]
     wit = cst_search(SetWindow.from_members(4, [4]), specs, 1)
-    assert wit.a_values == (1,) and wit.alphas == (FiniteIndexSet.of(1, 3),)
+    assert wit.a_values == (1,) and wit.alphas == (FiniteIndexSet((1, 3)),)
 
 
 @pytest.mark.parametrize("rule", ["const:1", "arith:1,1"])
@@ -513,7 +513,7 @@ def test_few_distinct_sums_build_a_small_table(rule):
     wit = cst_search(SetWindow.full(100),
                      [IPSystemSpec.parse(rule, horizon=20)], 1)
     assert time.perf_counter() - started < 1
-    assert wit.a_values == (1,) and wit.alphas == (FiniteIndexSet.of(1),)
+    assert wit.a_values == (1,) and wit.alphas == (FiniteIndexSet((1,)),)
 
 
 def test_level_cap_is_a_rule_about_budget_positions():
@@ -538,7 +538,7 @@ def test_fs_windows_support_every_depth():
 
 
 def test_witness_json_round_trip():
-    wit = CstWitness(2, (2, 4), (FiniteIndexSet.of(1), FiniteIndexSet.of(2, 3)), 2)
+    wit = CstWitness(2, (2, 4), (FiniteIndexSet((1,)), FiniteIndexSet((2, 3))), 2)
     assert CstWitness.from_json_dict(wit.to_json_dict()) == wit
     with pytest.raises(InputError):
         CstWitness.from_json_dict({"depth": 1})
@@ -595,9 +595,7 @@ def test_tower_deeper_families_stay_valid():
     assert all(len(fam) == 2 for fam in got.families)
     # every index set over the family generates a tower inside the window
     for mask in (0b01, 0b10, 0b11):
-        alpha = FiniteIndexSet.from_iterable(
-            i + 1 for i in range(2) if mask >> i & 1
-        )
+        alpha = FiniteIndexSet(tuple(i + 1 for i in range(2) if mask >> i & 1))
         gens = tuple(
             ip_term(IPSystemSpec.from_terms(list(fam)), alpha)
             for fam in got.families
@@ -636,7 +634,7 @@ def test_tower_families_form_a_list_of_systems():
     assert got is not None
     coords = [IPSystemSpec.from_terms(list(fam)) for fam in got.families]
     assert len(coords) == 2 and all(s.horizon == 2 for s in coords)
-    alpha = FiniteIndexSet.of(1, 2)
+    alpha = FiniteIndexSet((1, 2))
     per_coordinate = tuple(ip_term(s, alpha) for s in coords)
     assert per_coordinate == tuple(map(sum, got.families))
     assert verify_mpc(SetWindow.full(300), MpcParams(1, 1, 1), per_coordinate)

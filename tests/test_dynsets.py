@@ -400,7 +400,7 @@ def test_parse_round_trips():
         with pytest.raises(InputError):
             parse_point(mixed, text)
     # list rules: the horizon may not exceed the list, and does not cut it
-    assert IPSystemSpec.parse("list:3,-1,4") == IPSystemSpec("list:3,-1,4", (3, -1, 4))
+    assert IPSystemSpec.parse("list:3,-1,4") == IPSystemSpec((3, -1, 4))
     assert IPSystemSpec.parse(" list:3,-1,4 ", horizon=2).terms == (3, -1, 4)
     with pytest.raises(InputError):
         IPSystemSpec.parse("list:3,-1,4", horizon=4)

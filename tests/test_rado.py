@@ -20,7 +20,6 @@ from ramseykit.rado import (
     enumerate_solutions,
     forcing_number,
     schur_number,
-    single_equation_pr,
     solve_in_cell,
     vdw_number,
     verify_certificate,
@@ -254,23 +253,15 @@ def test_columns_search_is_capped(monkeypatch):
 
 
 def test_single_equation_examples():
-    assert single_equation_pr([1, 1, -1]) == (1, 3)
-    assert single_equation_pr([2, 3, -5]) == (1, 2, 3)
-    assert single_equation_pr([3, 4, 6]) is None
-    with pytest.raises(InputError):
-        single_equation_pr([1, 0, -1])
-    with pytest.raises(InputError):
-        single_equation_pr([])
+    """One equation is regular exactly when some coefficients sum to zero;
+    the first block is the least such set, by size and then lexicographically."""
+    def first_block(coeffs):
+        cert = columns_condition(RationalMatrix.from_rows([coeffs]))
+        return None if cert is None else cert.blocks[0]
 
-
-def test_single_equation_agrees_with_columns_condition():
-    rng = random.Random(27)
-    for _ in range(100):
-        coeffs = [rng.choice([v for v in range(-3, 4) if v]) for _ in range(rng.randint(1, 4))]
-        row = RationalMatrix.from_rows([coeffs])
-        assert (single_equation_pr(coeffs) is not None) == (
-            columns_condition(row) is not None
-        )
+    assert first_block([1, 1, -1]) == (1, 3)
+    assert first_block([2, 3, -5]) == (1, 2, 3)
+    assert first_block([3, 4, 6]) is None
 
 
 # --- solution enumeration and solve_in_cell --------------------------------
@@ -336,7 +327,6 @@ def test_schur_forced_and_witness():
     res = empirical_pr(SCHUR, 2, 4)
     assert res.verdict == "witness"
     assert res.witness.colors == (0, 1, 1, 0)
-    assert res.witness.cells() == [(1, 4), (2, 3)]
     # the oracle checks the horizon itself; the search below it would not
     for horizon in (0, -1):
         with pytest.raises(InputError, match=r"^horizon must be >= 1$"):
@@ -346,7 +336,7 @@ def test_schur_forced_and_witness():
 def test_ap_forced_and_witness():
     assert empirical_pr(AP3, 2, 9, nontrivial=True).verdict == "forced"
     res = empirical_pr(AP3, 2, 8, nontrivial=True)
-    assert res.witness.cells() == [(1, 2, 5, 6), (3, 4, 7, 8)]
+    assert res.witness.colors == (0, 0, 1, 1, 0, 0, 1, 1)
 
 
 def test_empirical_agrees_with_naive_enumeration():
@@ -385,7 +375,7 @@ def test_forcing_sweeps():
     assert schur.extremal_witness.colors == (0, 1, 1, 0)
     vdw = vdw_number(2, 3, max_horizon=12)
     assert vdw.forced_at == 9
-    assert vdw.extremal_witness.cells() == [(1, 2, 5, 6), (3, 4, 7, 8)]
+    assert vdw.extremal_witness.colors == (0, 0, 1, 1, 0, 0, 1, 1)
     for colors, max_horizon, message in [(0, 0, "need at least one color"),
                                          (0, 5, "need at least one color"),
                                          (2, 0, "horizon must be >= 1"),
@@ -477,9 +467,7 @@ def test_three_color_schur_number():
     assert report.forced_at == 14  # classical value: S(3) = 13
 
 
-def test_coloring_text_round_trip():
-    col = Coloring(4, 2, (0, 1, 1, 0))
-    assert Coloring.from_text(col.to_text()) == col
+def test_coloring_validation():
     with pytest.raises(InputError):
         Coloring(3, 2, (0, 1, 2))
 
