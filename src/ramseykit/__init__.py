@@ -8,6 +8,10 @@ witnesses of the Central Sets Theorem conclusion.
 
 Every submodule below is registered in `sys.modules` at import, but its code
 runs on its first attribute access, so a caller runs only the modules it uses.
+Submodules therefore refer to each other by module, not by name
+(`from . import windows`, then `windows.SetWindow` where it is used), so a
+module runs only when a call reads one of its names.  `errors`, which every
+command runs, is the one module whose names are imported.
 """
 
 import sys

@@ -317,7 +317,10 @@ COMMANDS = (
 )
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=()) -> _Parser:
+    """The parser for the `COMMANDS` row that `argv` names, or for the whole
+    table when it names none (help, a bare group, a usage error)."""
+    rows = [row for row in COMMANDS if row[:2] == tuple(argv[:2])] or COMMANDS
     common = _Parser(add_help=False)
     common.add_argument("--plain", action="store_true",
                         help="emit key=value lines instead of JSON")
@@ -326,7 +329,7 @@ def _build_parser() -> _Parser:
                      description="partition Ramsey theory toolkit")
     groups = parser.add_subparsers(dest="group", required=True)
     commands = {}
-    for group, command, handler, flags, echo in COMMANDS:
+    for group, command, handler, flags, echo in rows:
         if group not in commands:
             commands[group] = groups.add_parser(group).add_subparsers(
                 dest="command", required=True)
@@ -350,7 +353,7 @@ def _emit(report: dict, plain: bool) -> None:
 def run(argv) -> int:
     started = time.monotonic()
     try:
-        args, extra = _build_parser().parse_known_args(argv)
+        args, extra = _build_parser(argv).parse_known_args(argv)
         if extra:  # under the subcommand's usage, not the top-level one
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         report = {

@@ -20,25 +20,16 @@ from itertools import product
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .deuber import MpcParams, MpcSystem, generate_mpc, verify_mpc
+from . import deuber, ipcore, windows
 from .errors import (DEFAULT_CST_BUDGET, FS_PREFIX_CAP, BudgetExceededError,
                      InputError, json_int)
-from .ipcore import (
-    FiniteIndexSet,
-    IPSystemSpec,
-    alpha_less,
-    find_divisible_subsequence,
-    finite_sums,
-    ip_term,
-)
-from .windows import SetWindow
 
 
 @dataclass(frozen=True)
 class CstWitness:
     depth: int
     a_values: tuple[int, ...]
-    alphas: tuple[FiniteIndexSet, ...]
+    alphas: tuple[ipcore.FiniteIndexSet, ...]
     system_count: int
 
     def __post_init__(self):
@@ -63,7 +54,7 @@ class CstWitness:
             return cls(
                 json_int(data["depth"]),
                 tuple(map(json_int, data["a_values"])),
-                tuple(FiniteIndexSet(tuple(map(json_int, a)))
+                tuple(ipcore.FiniteIndexSet(tuple(map(json_int, a)))
                       for a in data["alphas"]),
                 json_int(data["system_count"]),
             )
@@ -71,7 +62,7 @@ class CstWitness:
             raise InputError(f"bad witness payload: {exc}") from exc
 
 
-def _common_horizon(specs: Sequence[IPSystemSpec]) -> int:
+def _common_horizon(specs: Sequence[ipcore.IPSystemSpec]) -> int:
     if not specs:
         raise InputError("need at least one IP-system")
     horizons = {s.horizon for s in specs}
@@ -80,7 +71,7 @@ def _common_horizon(specs: Sequence[IPSystemSpec]) -> int:
     return horizons.pop()
 
 
-def _min_subset_sum(spec: IPSystemSpec) -> int:
+def _min_subset_sum(spec: ipcore.IPSystemSpec) -> int:
     negatives = sum(t for t in spec.terms if t < 0)
     return negatives if negatives < 0 else min(spec.terms)
 
@@ -140,8 +131,8 @@ def check_level_width(width: int, budget: int) -> None:
 
 
 def cst_search(
-    window: SetWindow,
-    specs: Sequence[IPSystemSpec],
+    window: windows.SetWindow,
+    specs: Sequence[ipcore.IPSystemSpec],
     depth: int,
     budget: int = DEFAULT_CST_BUDGET,
 ) -> Optional[CstWitness]:
@@ -324,7 +315,7 @@ def cst_search(
     return CstWitness(
         depth,
         tuple(a for a, _, _ in found),
-        tuple(FiniteIndexSet(tuple(
+        tuple(ipcore.FiniteIndexSet(tuple(
             low + b + 1 for b in range(bits.bit_length()) if bits >> b & 1))
             for _, low, bits in found),
         p,
@@ -332,7 +323,9 @@ def cst_search(
 
 
 def verify_cst_witness(
-    window: SetWindow, specs: Sequence[IPSystemSpec], witness: CstWitness
+    window: windows.SetWindow,
+    specs: Sequence[ipcore.IPSystemSpec],
+    witness: CstWitness,
 ) -> bool:
     """Exhaustively re-check all 2^k - 1 subset sums for every system."""
     horizon = _common_horizon(specs)
@@ -343,24 +336,24 @@ def verify_cst_witness(
     if any(a.largest() > horizon for a in witness.alphas):
         raise InputError("witness index set beyond the spec horizon")
     for i in range(len(witness.alphas) - 1):
-        if not alpha_less(witness.alphas[i], witness.alphas[i + 1]):
+        if not ipcore.alpha_less(witness.alphas[i], witness.alphas[i + 1]):
             return False
     members = window.member_set
     for spec in specs:
         terms = [
-            a + ip_term(spec, alpha)
+            a + ipcore.ip_term(spec, alpha)
             for a, alpha in zip(witness.a_values, witness.alphas)
         ]
-        if not finite_sums(terms) <= members:
+        if not ipcore.finite_sums(terms) <= members:
             return False
     return True
 
 
 @dataclass(frozen=True)
 class MpcFromCstResult:
-    params: MpcParams
+    params: deuber.MpcParams
     families: tuple[tuple[int, ...], ...]
-    system: MpcSystem
+    system: deuber.MpcSystem
 
 
 def _pull_back(families, alphas):
@@ -370,7 +363,7 @@ def _pull_back(families, alphas):
 
 
 def mpc_from_cst(
-    window: SetWindow,
+    window: windows.SetWindow,
     m: int,
     p: int,
     c: int,
@@ -401,7 +394,7 @@ def mpc_from_cst(
     FS_PREFIX_CAP, a budget error before any search, already at family_depth 1
     once c = 2 and m >= 2, or c >= 3 and m >= 1.
     """
-    params = MpcParams(m, p, c)
+    params = deuber.MpcParams(m, p, c)
     if family_depth < 1:
         raise InputError("family depth must be >= 1")
     # level m searches (2p+1)^m systems; 3^k > budget once k is its bit length
@@ -413,17 +406,18 @@ def mpc_from_cst(
     for r in range(m + 1):
         keep = family_depth * c ** (2 * (m - r))
         rows = list(zip(*families)) or [()] * (keep * c)  # level 0: all zero
-        specs = [IPSystemSpec(tuple(sum(map(mul, pattern, row)) for row in rows))
+        specs = [ipcore.IPSystemSpec(tuple(sum(map(mul, pattern, row)) for row in rows))
                  for pattern in product(range(-p, p + 1), repeat=r)]
         wit = cst_search(window, specs, keep * c, budget)
         if wit is None:
             return None
         families = _pull_back(families, wit.alphas) + [list(wit.a_values)]
         if c > 1:
-            top = IPSystemSpec.from_terms(families[-1])
-            families = _pull_back(families, find_divisible_subsequence(top, c, keep))
+            top = ipcore.IPSystemSpec.from_terms(families[-1])
+            chain = ipcore.find_divisible_subsequence(top, c, keep)
+            families = _pull_back(families, chain)
             assert all(v % c == 0 for v in families[-1])
             families[-1] = [v // c for v in families[-1]]
-    system = generate_mpc(params, [fam[0] for fam in families])
-    assert verify_mpc(window, params, system.generators)
+    system = deuber.generate_mpc(params, [fam[0] for fam in families])
+    assert deuber.verify_mpc(window, params, system.generators)
     return MpcFromCstResult(params, tuple(map(tuple, families)), system)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
+from . import windows
 from .errors import FS_PREFIX_CAP, BudgetExceededError, InputError, MpcExpansionError
-from .windows import SetWindow
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def generate_mpc(params: MpcParams, generators: Sequence[int]) -> MpcSystem:
 
 
 def verify_mpc(
-    window: SetWindow, params: MpcParams, generators: Sequence[int]
+    window: windows.SetWindow, params: MpcParams, generators: Sequence[int]
 ) -> bool:
     """True iff every expanded value lies in the window."""
     system = generate_mpc(params, generators)
@@ -87,7 +87,7 @@ def verify_mpc(
 
 
 def contains_mpc(
-    window: SetWindow, params: MpcParams, bound: int
+    window: windows.SetWindow, params: MpcParams, bound: int
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically least generating tuple with generators <= bound
     whose whole expansion lies in the window, or None.

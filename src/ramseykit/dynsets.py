@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import exactq, windows
 from .errors import InputError, expression, fields, pair, read_text
-from .exactq import as_rational
-from .windows import SetWindow
 
 
 # ---------------------------------------------------------------------------
@@ -31,14 +30,14 @@ class Arc:
     radius: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_rational(self.center))
-        object.__setattr__(self, "radius", as_rational(self.radius))
+        object.__setattr__(self, "center", exactq.as_rational(self.center))
+        object.__setattr__(self, "radius", exactq.as_rational(self.radius))
         if self.radius <= 0:
             raise InputError("arc radius must be positive")
 
     @classmethod
     def from_interval(cls, lo, hi) -> "Arc":
-        lo, hi = as_rational(lo), as_rational(hi)
+        lo, hi = exactq.as_rational(lo), exactq.as_rational(hi)
         if hi <= lo:
             raise InputError("arc interval needs hi > lo")
         return cls((lo + hi) / 2, (hi - lo) / 2)
@@ -71,13 +70,13 @@ class RotationSystem:
     angle: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", as_rational(self.angle) % 1)
+        object.__setattr__(self, "angle", exactq.as_rational(self.angle) % 1)
 
     def returns(self, point, target, horizon: int) -> tuple[list, list]:
         """(hits, boundary_hits) of the orbit of `point` in the arc `target`:
         a time is a hit when its offset from the arc's left end is below
         the width, and a boundary hit when it sits on either end."""
-        point = as_rational(point)
+        point = exactq.as_rational(point)
         if not isinstance(target, Arc):
             raise InputError("rotation targets must be arcs")
         width = 2 * target.radius
@@ -140,7 +139,7 @@ class ProductSystem:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    window: SetWindow
+    window: windows.SetWindow
     boundary_hits: tuple[int, ...]
 
 
@@ -154,7 +153,7 @@ def orbit_hits(system, point, target, horizon: int) -> OrbitResult:
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     hits, flagged = system.returns(point, target, horizon)
-    return OrbitResult(SetWindow(horizon, tuple(hits)), tuple(flagged))
+    return OrbitResult(windows.SetWindow(horizon, tuple(hits)), tuple(flagged))
 
 
 def product_return_times(
@@ -190,7 +189,7 @@ class DensityReport:
     estimate: Fraction
 
 
-def banach_density_estimate(window: SetWindow, length: int) -> DensityReport:
+def banach_density_estimate(window: windows.SetWindow, length: int) -> DensityReport:
     """Best density over all length-w subwindows of [1..N] (the finite
     stand-in for upper Banach density), with the leftmost maximizing start."""
     if not 1 <= length <= window.horizon:
@@ -205,7 +204,7 @@ def banach_density_estimate(window: SetWindow, length: int) -> DensityReport:
     return DensityReport(length, best_start, best_count, Fraction(best_count, length))
 
 
-def syndetic_gap(window: SetWindow) -> int:
+def syndetic_gap(window: windows.SetWindow) -> int:
     """Largest gap between consecutive members, including the lead-in gap
     from 0 and the tail gap to N+1; the empty window reports N+1."""
     prev = 0
@@ -225,7 +224,7 @@ class PiecewiseSyndeticReport:
 
 
 def piecewise_syndetic_window(
-    window: SetWindow, shifts: int, length: int
+    window: windows.SetWindow, shifts: int, length: int
 ) -> PiecewiseSyndeticReport:
     """Does S u (S-1) u ... u (S-k) cover an interval of the given length
     inside the window?  Reports the leftmost witness start, or the best
@@ -254,7 +253,7 @@ def piecewise_syndetic_window(
 
 @dataclass(frozen=True)
 class StraussResult:
-    window: SetWindow
+    window: windows.SetWindow
     witnesses: tuple[tuple[int, int], ...]
     density: Fraction
 
@@ -269,7 +268,7 @@ def strauss_set(epsilon, horizon: int) -> StraussResult:
     satisfies S and (t + n*Z) disjoint on [1..N]: no shifted copy of S meets
     every set of multiples.
     """
-    eps = as_rational(epsilon)
+    eps = exactq.as_rational(epsilon)
     if not 0 < eps < 1:
         raise InputError("epsilon must lie strictly between 0 and 1")
     if horizon < 1:
@@ -293,7 +292,7 @@ def strauss_set(epsilon, horizon: int) -> StraussResult:
     members = tuple(x for x in range(1, horizon + 1) if not removed[x])
     density = Fraction(len(members), horizon)
     assert density >= 1 - eps, "doubling schedule failed its density bound"
-    return StraussResult(SetWindow(horizon, members), tuple(witnesses), density)
+    return StraussResult(windows.SetWindow(horizon, members), tuple(witnesses), density)
 
 
 def strauss_witnesses_hold(result: StraussResult) -> bool:
@@ -325,14 +324,14 @@ def _product_system(rest: str) -> ProductSystem:
 
 
 _SYSTEM_KINDS = {
-    "rot": ((as_rational,), RotationSystem),
+    "rot": ((exactq.as_rational,), RotationSystem),
     "shift": (None, _shift_system),
     "prod": (None, _product_system),
 }
-_TARGET_KINDS = {RotationSystem: {"arc": ((as_rational,) * 2, Arc.from_interval),
-                                  "carc": ((as_rational,) * 2, Arc)},
+_TARGET_KINDS = {RotationSystem: {"arc": ((exactq.as_rational,) * 2, Arc.from_interval),
+                                  "carc": ((exactq.as_rational,) * 2, Arc)},
                  ShiftSystem: {"cyl": (None, Cylinder)}}
-_POINT_FIELDS = {RotationSystem: (as_rational,), ShiftSystem: (int,)}
+_POINT_FIELDS = {RotationSystem: (exactq.as_rational,), ShiftSystem: (int,)}
 
 
 def parse_system(text: str):

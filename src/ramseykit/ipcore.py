@@ -13,9 +13,9 @@ from itertools import accumulate, combinations, islice, repeat
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from . import windows
 from .errors import (FS_PREFIX_CAP, BudgetExceededError, InputError, expression,
                      fields, quote)
-from .windows import SetWindow
 
 # The largest index a FiniteIndexSet may hold.  Index sets are stored as
 # tuples, so this bounds input size (witness files, divisibility chains),
@@ -148,7 +148,7 @@ def check_fs_prefix(k: int) -> None:
         )
 
 
-def fs_enumerate(spec: IPSystemSpec, k: int) -> SetWindow:
+def fs_enumerate(spec: IPSystemSpec, k: int) -> windows.SetWindow:
     """All finite sums over nonempty subsets of the first k generators."""
     if not 1 <= k <= spec.horizon:
         raise InputError(f"prefix length {k} outside 1..{spec.horizon}")
@@ -156,10 +156,10 @@ def fs_enumerate(spec: IPSystemSpec, k: int) -> SetWindow:
     sums = finite_sums(spec.terms[:k])
     if min(sums) < 1:
         raise InputError("finite sums leave the positive integers; no window")
-    return SetWindow.from_members(max(sums), sums)
+    return windows.SetWindow.from_members(max(sums), sums)
 
 
-def fs_window(rule: str, k: int) -> SetWindow:
+def fs_window(rule: str, k: int) -> windows.SetWindow:
     """The finite sums of the first k terms of `rule`, parsed at horizon k.
     The cap is checked first, since building the rule alone can take seconds."""
     check_fs_prefix(k)

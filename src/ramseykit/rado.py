@@ -21,10 +21,9 @@ from itertools import chain, combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
+from . import exactq, windows
 from .errors import (DEFAULT_COLORING_BUDGET, FS_PREFIX_CAP, BudgetExceededError,
                      DegenerateMatrixError, InputError, json_int, quote)
-from .exactq import RationalMatrix, as_rational, in_column_span, reduced_row_echelon
-from .windows import SetWindow
 
 
 def _column_key(text: str) -> int:
@@ -71,7 +70,8 @@ class ColumnsCertificate:
         try:
             blocks = tuple(tuple(map(json_int, b)) for b in data["blocks"])
             coefficients = tuple(  # a coefficient is an integer or a "p/q" string
-                {_column_key(j): as_rational(c if type(c) is str else json_int(c))
+                {_column_key(j):
+                 exactq.as_rational(c if type(c) is str else json_int(c))
                  for j, c in m.items()} for m in data["coefficients"])
         except (AttributeError, KeyError, TypeError, ValueError,
                 ZeroDivisionError) as exc:
@@ -134,7 +134,7 @@ def _blocks(indices):
         combinations(indices, size) for size in range(1, len(indices) + 1))
 
 
-def columns_condition(matrix: RationalMatrix) -> Optional[ColumnsCertificate]:
+def columns_condition(matrix: exactq.RationalMatrix) -> Optional[ColumnsCertificate]:
     """Decide partition regularity; return the first certificate found.
 
     Greedy absorption: starting from no placed columns, take the first
@@ -167,7 +167,7 @@ def columns_condition(matrix: RationalMatrix) -> Optional[ColumnsCertificate]:
                 raise BudgetExceededError(
                     f"columns search made 2^{FS_PREFIX_CAP} span tests")
             target = _column_sum(cols, block, matrix.rows)
-            coeff = (in_column_span(matrix, used, target) if used
+            coeff = (exactq.in_column_span(matrix, used, target) if used
                      else None if any(target) else {})
             if coeff is not None:
                 break
@@ -180,7 +180,7 @@ def columns_condition(matrix: RationalMatrix) -> Optional[ColumnsCertificate]:
         tuple({j + 1: c for j, c in coeff.items()} for _, coeff in placed[1:]))
 
 
-def verify_certificate(matrix: RationalMatrix, cert: ColumnsCertificate) -> bool:
+def verify_certificate(matrix: exactq.RationalMatrix, cert: ColumnsCertificate) -> bool:
     """Exact re-check of the certificate relations against the matrix."""
     q = matrix.cols
     seen: set[int] = set()
@@ -212,7 +212,7 @@ def verify_certificate(matrix: RationalMatrix, cert: ColumnsCertificate) -> bool
     return True
 
 
-def default_nontrivial(matrix: RationalMatrix) -> bool:
+def default_nontrivial(matrix: exactq.RationalMatrix) -> bool:
     """Nontriviality defaults to ON exactly when the constant vector
     solves the system (every row sums to zero), since otherwise forcing
     numbers would be meaningless."""
@@ -229,7 +229,7 @@ def _solution_shells(matrix, horizon, members, nontrivial, distinct):
     Each pivot row is scaled by the lcm of its denominators, so the
     arithmetic is exact on integers."""
     q = matrix.cols
-    rref, pivots = reduced_row_echelon(matrix)
+    rref, pivots = exactq.reduced_row_echelon(matrix)
     pivot_set = set(pivots)
     frees = [c for c in range(q) if c not in pivot_set]
     if not frees:
@@ -267,7 +267,7 @@ def _solution_shells(matrix, horizon, members, nontrivial, distinct):
 
 
 def enumerate_solutions(
-    matrix: RationalMatrix,
+    matrix: exactq.RationalMatrix,
     horizon: int,
     members: Optional[Sequence[int]] = None,
     nontrivial: bool = False,
@@ -281,8 +281,8 @@ def enumerate_solutions(
 
 
 def solve_in_cell(
-    matrix: RationalMatrix,
-    window: SetWindow,
+    matrix: exactq.RationalMatrix,
+    window: windows.SetWindow,
     nontrivial: Optional[bool] = None,
     distinct: bool = False,
 ) -> Optional[SolutionVector]:
@@ -359,7 +359,7 @@ def _coloring_search(matrix, colors, horizon, budget, nontrivial, distinct):
 
 
 def empirical_pr(
-    matrix: RationalMatrix,
+    matrix: exactq.RationalMatrix,
     colors: int,
     horizon: int,
     nontrivial: Optional[bool] = None,
@@ -379,7 +379,7 @@ def empirical_pr(
 
 
 def forcing_number(
-    matrix: RationalMatrix,
+    matrix: exactq.RationalMatrix,
     colors: int,
     max_horizon: int,
     nontrivial: Optional[bool] = None,
@@ -396,11 +396,11 @@ def forcing_number(
     return ForcingReport(colors, nontrivial, forced_at, witness)
 
 
-def schur_matrix() -> RationalMatrix:
-    return RationalMatrix.from_rows([[1, 1, -1]])
+def schur_matrix() -> exactq.RationalMatrix:
+    return exactq.RationalMatrix.from_rows([[1, 1, -1]])
 
 
-def ap_matrix(length: int) -> RationalMatrix:
+def ap_matrix(length: int) -> exactq.RationalMatrix:
     """The system forcing x_1, ..., x_L into arithmetic progression."""
     if length < 3:
         raise InputError("arithmetic progressions need length >= 3")
@@ -409,7 +409,7 @@ def ap_matrix(length: int) -> RationalMatrix:
         row = [0] * length
         row[i], row[i + 1], row[i + 2] = 1, -2, 1
         rows.append(row)
-    return RationalMatrix.from_rows(rows)
+    return exactq.RationalMatrix.from_rows(rows)
 
 
 def schur_number(

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from . import ipcore
 from .errors import InputError, expression, fields, read_text
 
 
@@ -126,9 +127,7 @@ def _fs_window(rest: str) -> SetWindow:
     if not rule:
         raise InputError("fs expression needs a rule and a prefix length")
     (k,) = fields(ktext, (int,), "fs prefix length")
-    from .ipcore import fs_window
-
-    return fs_window(rule, k)
+    return ipcore.fs_window(rule, k)
 
 
 _SET_KINDS = {

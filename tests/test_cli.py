@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import ramseykit
-from ramseykit.cli import _build_parser, run
+import ramseykit.cli as cli
+from ramseykit.cli import COMMANDS, _build_parser, run
 from ramseykit.cst import mpc_from_cst
 from ramseykit.errors import InputError
 from ramseykit.exactq import RationalMatrix
@@ -673,6 +675,45 @@ def test_readme_command_lines_parse():
         assert args.handler is not None, line
 
 
+def _subparsers(parser) -> dict:
+    """The parsers `parser` registers under its subcommand names."""
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("group, command", [row[:2] for row in COMMANDS],
+                         ids=[" ".join(row[:2]) for row in COMMANDS])
+def test_one_row_parser_matches_the_full_table(group, command):
+    """`run` registers only the invoked row; its help and usage are the
+    ones the full table gives."""
+    groups = _subparsers(_build_parser([group, command, "--plain"]))
+    commands = _subparsers(groups[group])
+    assert (list(groups), list(commands)) == ([group], [command])
+    alone = commands[command]
+    full = _subparsers(_subparsers(_build_parser())[group])[command]
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize("argv", ["", "rado", "rado nope", "--help",
+                                  "rado check --help", "rado check",
+                                  "fs zerosum --values 1 --modulus 2 --k 3"])
+def test_usage_and_help_match_the_full_table(argv, capsys, monkeypatch):
+    """Help, a bare group, an unknown command and usage errors exit and print
+    as they do when every row is registered."""
+    def outcome():
+        code = run(argv.split())
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    seen = outcome()
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda _argv=(): full())
+    assert seen == outcome()
+    assert seen[0] == (0 if "--help" in argv else 1)
+    assert seen[2 if seen[0] else 1].startswith("usage: ramseykit")
+
+
 # the ramseykit modules whose code has run, and the loaded stdlib number
 # modules, as the last stdout line
 _RAN = """
@@ -695,23 +736,23 @@ def _modules_run(cwd, *argv) -> dict:
 
 def test_each_command_runs_only_the_modules_it_uses(tmp_path):
     """A submodule runs on first use; until then it is registered but its
-    code has not run (`type()` does not trigger the load).  Commands on
-    integers load no `fractions` (nor the `decimal` and `numbers` it pulls in)."""
-    assert _modules_run(tmp_path, "fs", "zerosum", "--values", "1,2,3",
-                        "--modulus", "3") == {
-        "ran": ["ramseykit", "ramseykit.cli", "ramseykit.errors",
-                "ramseykit.ipcore", "ramseykit.windows"],
-        "numbers": []}
-    loaded = _modules_run(tmp_path, "cst", "search", "--set", "evens:200",
-                          "--specs", "const:2", "--depth", "2",
-                          "--spec-horizon", "6")
-    assert "ramseykit.cst" in loaded["ran"]
-    assert loaded["numbers"] == []
+    code has not run (`type()` does not trigger the load).  A module that
+    another one names only in annotations or in functions the command does
+    not call stays unrun.  Commands on integers load no `fractions` (nor the
+    `decimal` and `numbers` it pulls in)."""
     (tmp_path / "schur.mat").write_text("1 3\n1 1 -1\n")
-    ran = _modules_run(tmp_path, "rado", "check", "--matrix", "schur.mat")["ran"]
-    assert "ramseykit.rado" in ran
-    assert not {"ramseykit.cst", "ramseykit.deuber", "ramseykit.dynsets",
-                "ramseykit.ipcore"} & set(ran)
+    for argv, ran, numbers in [
+        ("fs zerosum --values 1,2,3 --modulus 3", "ipcore", []),
+        ("mpc gen --m 1 --p 1 --c 1 --generators 1,3", "deuber", []),
+        ("cst search --set evens:200 --specs const:2 --depth 2 --spec-horizon 6",
+         "cst ipcore windows", []),
+        ("rado check --matrix schur.mat", "exactq rado",
+         ["decimal", "fractions", "numbers"]),
+    ]:
+        assert _modules_run(tmp_path, *argv.split()) == {
+            "ran": sorted(["ramseykit", "ramseykit.cli", "ramseykit.errors",
+                           *(f"ramseykit.{name}" for name in ran.split())]),
+            "numbers": numbers}, argv
 
 
 def test_star_import_binds_every_public_name(tmp_path):
