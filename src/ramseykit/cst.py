@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -27,6 +28,8 @@ from .errors import (DEFAULT_CST_BUDGET, FS_PREFIX_CAP, BudgetExceededError,
 
 @dataclass(frozen=True)
 class CstWitness:
+    """A depth-k chain of (a_n, alpha_n) pairs, for system_count systems."""
+
     depth: int
     a_values: tuple[int, ...]
     alphas: tuple[ipcore.FiniteIndexSet, ...]
@@ -76,6 +79,20 @@ def _min_subset_sum(spec: ipcore.IPSystemSpec) -> int:
     return negatives if negatives < 0 else min(spec.terms)
 
 
+def _first_class(b: int) -> tuple[int, int, bool]:
+    """(x_1, d, one) for a nonempty b: its least member, the gap d to the
+    next one (0 when there is none), and whether b lies in the one residue
+    class x_1 mod d, tested with one AND against that class's mask."""
+    low = b & -b
+    x1 = low.bit_length() - 1
+    above = b ^ low
+    if not above:
+        return x1, 0, True
+    d = (above & -above).bit_length() - 1 - x1
+    k = b.bit_length() // d + 1
+    return x1, d, b & (((1 << d * k) - 1) // ((1 << d) - 1) << x1 % d) == b
+
+
 def _live_terms(b: int) -> int:
     """The members u of b with b & (b >> u) nonzero, the differences of two
     members of b.
@@ -83,23 +100,16 @@ def _live_terms(b: int) -> int:
     First the residue class: with x_1 the least member and d the gap to
     the next, a b inside the class x_1 mod d has every difference a
     multiple of d, so when d does not divide x_1 no member is live and one
-    AND against that class's mask answers.  Otherwise the scan: x + u = y
-    with x <= u puts x in the lower half of b, so only the members
-    x <= max(b)/2 are taken, smallest first; each marks every u it settles
-    (b & (b >> x)), and itself when that is nonempty.  After each step the
-    largest open u (the one the fewest members can settle) is tested by
-    itself, so on a window with few dead ends the smallest members settle
-    almost every u at once."""
-    low = b & -b
-    x1 = low.bit_length() - 1
-    above = b ^ low
-    if above:
-        d = (above & -above).bit_length() - 1 - x1
-        r = x1 % d
-        if r:
-            k = b.bit_length() // d + 1
-            if b & (int(("0" * (d - 1) + "1") * k, 2) << r) == b:
-                return 0
+    AND against that class's mask answers (see _first_class).  Otherwise
+    the scan: x + u = y with x <= u puts x in the lower half of b, so only
+    the members x <= max(b)/2 are taken, smallest first; each marks every u
+    it settles (b & (b >> x)), and itself when that is nonempty.  After
+    each step the largest open u (the one the fewest members can settle)
+    is tested by itself, so on a window with few dead ends the smallest
+    members settle almost every u at once."""
+    x1, d, one = _first_class(b)
+    if d and x1 % d and one:
+        return 0
     rest = b & ((1 << ((b.bit_length() + 1) >> 1)) - 1)  # x <= max(b)/2
     live = 0
     todo = b
@@ -118,6 +128,28 @@ def _live_terms(b: int) -> int:
                 live |= 1 << u
     # once every lower-half member has been taken, the open u are dead ends
     return live
+
+
+def _term_floor(b: int, terms: Sequence[int]) -> tuple[int, int]:
+    """(lo, m) bounding every a with a + s in b, s a nonempty subset sum of
+    a level's terms: a >= lo = min(b) - (the largest such s), and
+    a = lo mod m.  When b lies in one class x_1 mod d (d = 0 for one
+    member), m = gcd(d, terms), which divides every s and d, so
+    a = x_1 = lo mod m; a b over several classes says nothing of a's
+    class, and m = 1."""
+    top = sum(t for t in terms if t > 0) or max(terms)
+    m = gcd(*terms)
+    if m == 1:  # nothing to learn from b's class
+        return (b & -b).bit_length() - 1 - top, 1
+    x1, d, one = _first_class(b)
+    return x1 - top, (gcd(d, m) if one else 0) or 1
+
+
+def _least_a(floors: Sequence[tuple[int, int]]) -> int:
+    """The least a >= 1 that meets every (lo, m) of floors (_term_floor):
+    no smaller a passes every system."""
+    least = max(1, max(lo for lo, _ in floors))
+    return max(least + (lo - least) % m for lo, m in floors)
 
 
 def check_level_width(width: int, budget: int) -> None:
@@ -170,9 +202,18 @@ def cst_search(
     it.  A level whose 2^width - 1 positions per a pass the budget raises
     before it is scanned or refuted.  The table it scans holds the first
     index set of each (max index, sums) pair, built from the distinct
-    subset sums (see candidates), so its size and cost follow their number:
+    subset sums (see grow), so its size and cost follow their number:
     const:1 at horizon 20 has 210 candidates among 2^20 - 1 index sets,
     while a rule whose subset sums all differ, such as geom, has them all.
+    The table grows one index at a time as the scan reads it, and until it
+    is complete the scan tries only the least a that the sets it tests
+    allow (_term_floor): for each system, the least member of its set (L_i,
+    or B_i at the last level) less the largest subset sum of the level's
+    terms, raised into that member's class mod gcd(d, terms) when the set
+    lies in one class mod its first gap d.  A level whose witness sits
+    among the first index sets at that a builds no more of its table:
+    geom:-1,10 at horizon 20 on all:100 answers from the first row instead
+    of all 2^20 - 1 (about 250 MB).
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -185,20 +226,36 @@ def cst_search(
     a_hi = max(0, window.horizon - min(_min_subset_sum(s) for s in specs))
     ticks = 0
     dead: set = set()
-    cand_cache: dict[int, tuple] = {}
+    cand_cache: dict[int, list] = {}
     live: dict[int, int] = {}  # admissible mask -> its live targets
 
-    def candidates(low: int) -> tuple:
-        """(count, reach, distinct) for the indices in (low, horizon]: the
-        count of their nonempty subsets, the largest a the budget can reach
-        at this level, and the candidates (mask, max index, per-spec sums)
-        in mask order.  Bit b of a mask is index low + b + 1, so the mask is
-        also the subset's position in binary-counting order.  Only the first
-        subset of each (max index, sums) pair is a candidate: a later one
-        would reach the same memo key for every a, so it can only be a dead
-        state once the first has been tried.
+    def candidates(low: int) -> list:
+        """[count, reach, rows, grower] for the indices in (low, horizon]:
+        the count of their nonempty subsets, the largest a the budget can
+        reach at this level, the candidates (mask, max index, per-spec
+        sums) built so far in mask order, and the generator that appends
+        the next index's candidates to rows, or None once rows is complete.
+        Bit b of a mask is index low + b + 1, so the mask is also the
+        subset's position in binary-counting order.  Only the first subset
+        of each (max index, sums) pair is a candidate: a later one would
+        reach the same memo key for every a, so it can only be a dead state
+        once the first has been tried."""
+        got = cand_cache.get(low)
+        if got is None:
+            width = horizon - low
+            check_level_width(width, budget)
+            count = (1 << width) - 1
+            # an a beyond reach starts at position (a - 1) * count + 1,
+            # already over budget, so the bit ranges stay small however
+            # large a_hi is
+            reach = min(a_hi, budget // count + 1) if count else 0
+            rows: list = []
+            got = cand_cache[low] = [count, reach, rows, grow(low, rows)]
+        return got
 
-        The table is built from the distinct sum vectors, not from all
+    def grow(low, rows):
+        """Append the candidates of each index in (low, horizon] to rows,
+        one index per step, from the distinct sum vectors, not from all
         2^width subsets.  `first` maps the sums of each subset of the
         indices taken so far (the empty one included) to its smallest mask,
         so the first subset with max index idx and sums V is
@@ -206,34 +263,44 @@ def cst_search(
         adds its candidates in mask order, above all earlier ones.  The work
         is width times the number of distinct sum vectors, which is 2^width
         only when every subset sum differs."""
-        got = cand_cache.get(low)
-        if got is not None:
-            return got
-        width = horizon - low
-        check_level_width(width, budget)
-        count = (1 << width) - 1
         first = {(0,) * p: 0}
-        distinct = []
         for idx in range(low + 1, horizon + 1):
             bit = 1 << (idx - low - 1)
             step = [s.terms[idx - 1] for s in specs]
-            rows = [(mask | bit, idx, tuple(map(add, sums, step)))
-                    for sums, mask in first.items()]
-            distinct += rows
-            for mask, _, sums in rows:
+            new = [(mask | bit, idx, tuple(map(add, sums, step)))
+                   for sums, mask in first.items()]
+            rows += new
+            for mask, _, sums in new:
                 first.setdefault(sums, mask)
-        # an a beyond reach starts at position (a - 1) * count + 1, already
-        # over budget, so the bit ranges stay small however large a_hi is
-        reach = min(a_hi, budget // count + 1) if count else 0
-        got = cand_cache[low] = (count, reach, distinct)
-        return got
+            yield
 
-    def scan(reach, distinct, targets):
-        """(a, candidate) for every a <= reach and distinct candidate whose
-        terms a + s_i all lie in their targets, in (a, position) order."""
-        a_range = (1 << (reach + 1)) - 2
+    def scan(low, table, targets):
+        """(a, candidate) for every a <= reach and candidate of level low
+        whose terms a + s_i all lie in their targets, in (a, position)
+        order.  No a below `least` passes (_least_a while the table is
+        incomplete, 1 once it is complete), so each candidate that passes
+        at `least` is yielded as soon as it is tested, and the table is
+        built only as far as the search reads it; the candidates passing at
+        a larger a follow once every candidate is tested."""
+        count, reach, rows, grower = table
+        least = 1
+        # a one-row table is whole once its row is built: no bound saves it
+        if grower is not None and reach and count > 1:
+            least = _least_a([_term_floor(b, s.terms[low:])
+                              for b, s in zip(targets, specs)])
+        if least > reach:
+            return
+        a_range = (1 << (reach + 1)) - (1 << least)  # least <= a <= reach
         passing = []
-        for cand in distinct:
+        i = 0
+        while True:
+            if i == len(rows):
+                if grower is None or next(grower, True):  # every index taken
+                    table[3] = None
+                    break
+                continue
+            cand = rows[i]
+            i += 1
             ok = a_range
             for b, s in zip(targets, cand[2]):
                 if s >= 0:
@@ -242,15 +309,18 @@ def cst_search(
                     ok &= b << -s
                 else:
                     ok = 0
+            if ok >> least & 1:
+                yield least, cand
+                ok ^= 1 << least
             if ok:
                 passing.append((ok, cand))
         union = 0
         for ok, _ in passing:
             union |= ok
         while union:
-            low = union & -union
-            union ^= low
-            a = low.bit_length() - 1
+            bit = union & -union
+            union ^= bit
+            a = bit.bit_length() - 1
             for ok, cand in passing:
                 if ok >> a & 1:
                     yield a, cand
@@ -283,9 +353,10 @@ def cst_search(
                     charge(a_hi * ((1 << width) - 1))
                     return None
                 targets.append(got)
-        count, reach, distinct = candidates(low)
+        table = candidates(low)
+        count = table[0]
         seen = 0  # positions of this level charged so far
-        for a, (bits, amax, svec) in scan(reach, distinct, targets):
+        for a, (bits, amax, svec) in scan(low, table, targets):
             # every position up to this one counts as scanned: the failing,
             # duplicate and dead-end ones are charged here without a visit
             pos = (a - 1) * count + bits
@@ -351,6 +422,8 @@ def verify_cst_witness(
 
 @dataclass(frozen=True)
 class MpcFromCstResult:
+    """A tower built by mpc_from_cst, with the families it was built from."""
+
     params: deuber.MpcParams
     families: tuple[tuple[int, ...], ...]
     system: deuber.MpcSystem

@@ -18,6 +18,8 @@ from .errors import FS_PREFIX_CAP, BudgetExceededError, InputError, MpcExpansion
 
 @dataclass(frozen=True)
 class MpcParams:
+    """The (m, p, c) of a tower: m + 1 generators, |i_j| <= p, lead c."""
+
     m: int
     p: int
     c: int
@@ -31,6 +33,8 @@ class MpcParams:
 
 @dataclass(frozen=True)
 class MpcSystem:
+    """A tower's generators and the sorted set of its values."""
+
     params: MpcParams
     generators: tuple[int, ...]
     values: tuple[int, ...]

@@ -56,6 +56,8 @@ class Cylinder:
 
 @dataclass(frozen=True)
 class ProductTarget:
+    """A pair of targets, one per component of a ProductSystem."""
+
     first: object
     second: object
 
@@ -120,6 +122,8 @@ class ShiftSystem:
 
 @dataclass(frozen=True)
 class ProductSystem:
+    """Two systems run side by side on pairs of points."""
+
     first: object
     second: object
 
@@ -139,6 +143,8 @@ class ProductSystem:
 
 @dataclass(frozen=True)
 class OrbitResult:
+    """The return times of an orbit, and those that fell on a target end."""
+
     window: windows.SetWindow
     boundary_hits: tuple[int, ...]
 
@@ -183,6 +189,8 @@ def product_return_times(
 
 @dataclass(frozen=True)
 class DensityReport:
+    """The densest subwindow of a given length: start, count and density."""
+
     window_length: int
     best_start: int
     count: int
@@ -217,6 +225,8 @@ def syndetic_gap(window: windows.SetWindow) -> int:
 
 @dataclass(frozen=True)
 class PiecewiseSyndeticReport:
+    """Whether a union of shifts covers an interval, and the best one found."""
+
     contains_interval: bool
     witness_start: Optional[int]
     best_length: int
@@ -253,6 +263,8 @@ def piecewise_syndetic_window(
 
 @dataclass(frozen=True)
 class StraussResult:
+    """A dense window, the residue classes it misses, and its density."""
+
     window: windows.SetWindow
     witnesses: tuple[tuple[int, int], ...]
     density: Fraction
@@ -323,15 +335,21 @@ def _product_system(rest: str) -> ProductSystem:
     return ProductSystem(parse_system(first), parse_system(second))
 
 
+def _rational(text: str) -> Fraction:
+    # exactq is read at call time, so commands that parse no rational
+    # never run it
+    return exactq.as_rational(text)
+
+
 _SYSTEM_KINDS = {
-    "rot": ((exactq.as_rational,), RotationSystem),
+    "rot": ((_rational,), RotationSystem),
     "shift": (None, _shift_system),
     "prod": (None, _product_system),
 }
-_TARGET_KINDS = {RotationSystem: {"arc": ((exactq.as_rational,) * 2, Arc.from_interval),
-                                  "carc": ((exactq.as_rational,) * 2, Arc)},
+_TARGET_KINDS = {RotationSystem: {"arc": ((_rational,) * 2, Arc.from_interval),
+                                  "carc": ((_rational,) * 2, Arc)},
                  ShiftSystem: {"cyl": (None, Cylinder)}}
-_POINT_FIELDS = {RotationSystem: (exactq.as_rational,), ShiftSystem: (int,)}
+_POINT_FIELDS = {RotationSystem: (_rational,), ShiftSystem: (int,)}
 
 
 def parse_system(text: str):

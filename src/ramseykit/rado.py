@@ -99,6 +99,8 @@ class Coloring:
 
 @dataclass(frozen=True)
 class SolutionVector:
+    """A solution of A x = 0 in positive integers."""
+
     values: tuple[int, ...]
 
     def __post_init__(self):
@@ -109,7 +111,8 @@ class SolutionVector:
 
 @dataclass(frozen=True)
 class EmpiricalResult:
-    # verdict is "forced" or "witness"
+    """The verdict "forced" or "witness", with the witness coloring."""
+
     verdict: str
     witness: Optional[Coloring]
     nontrivial: bool
@@ -117,6 +120,8 @@ class EmpiricalResult:
 
 @dataclass(frozen=True)
 class ForcingReport:
+    """The least forced N, if any, and the extremal coloring below it."""
+
     colors: int
     nontrivial: bool
     forced_at: Optional[int]

@@ -748,6 +748,8 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path):
          "cst ipcore windows", []),
         ("rado check --matrix schur.mat", "exactq rado",
          ["decimal", "fractions", "numbers"]),
+        ("dyn gaps --set evens:100", "dynsets windows",
+         ["decimal", "fractions", "numbers"]),
     ]:
         assert _modules_run(tmp_path, *argv.split()) == {
             "ran": sorted(["ramseykit", "ramseykit.cli", "ramseykit.errors",

@@ -418,6 +418,125 @@ def test_level_refutations_keep_every_budget_of_the_full_scan(monkeypatch):
     assert deeper >= 5
 
 
+# (horizon, members, rules' terms, depth): a residue class and a few stray
+# members, its first gap sharing a factor with the terms.  The least a
+# passes through a stray, outside the class of the least member.
+STRAY_MEMBER_SEARCHES = [
+    (18, set(range(2, 19, 2)) | {5}, [[4]], 1),
+    (15, set(range(2, 15, 2)) | {5}, [[4, 4, 0, 4]], 2),
+    (23, set(range(3, 24, 4)) | {9, 10}, [[8, 4, 4]], 2),
+    (24, set(range(3, 25, 3)) | {8, 13}, [[3, 6, -6, 6]], 2),
+    (13, {4, 9, 10, 13}, [[-2, -4, -2, -4], [10, 10, 10, 5], [5, 5, 10, 5]], 1),
+]
+
+
+def test_least_a_keeps_every_budget_of_the_full_scan(monkeypatch):
+    """Windows where the least-a bound of an unbuilt table is active: full
+    ranges and tails, residue classes with and without a few stray
+    members, and fs: windows, under signed and all-negative rules, with one
+    to three systems and depths one to four.  A bound that took the terms'
+    gcd for a set spread over several residue classes passed every other
+    test in this file, and fails the stray-member searches."""
+    raised = []
+    original = cst._least_a
+
+    def least_a(floors):
+        got = original(floors)
+        raised.append(got > 1)
+        return got
+
+    monkeypatch.setattr(cst, "_least_a", least_a)
+    for horizon, members, rules, depth in STRAY_MEMBER_SEARCHES:
+        specs = [IPSystemSpec.from_terms(terms) for terms in rules]
+        assert_budgets_match_the_full_scan(SetWindow.from_members(horizon, members),
+                                           specs, depth)
+    rng = random.Random(29)
+    for _ in range(120):
+        n = rng.randint(12, 30)
+        kind = rng.randrange(4)
+        modulus = rng.randint(2, 5)
+        if kind == 0:
+            window = SetWindow.full(n)
+        elif kind == 1:
+            window = SetWindow.from_members(n, range(rng.randint(2, n // 2), n + 1))
+        elif kind == 2:
+            first = rng.randrange(modulus) or modulus
+            members = set(range(first, n + 1, modulus))
+            if rng.random() < 0.7:
+                members |= set(rng.sample(range(first + modulus, n + 1),
+                                          rng.randint(1, 3)))
+            window = SetWindow.from_members(n, members)
+        else:
+            window = SetWindow.from_expression(
+                f"fs:{rng.choice(['geom:1,2', 'arith:1,1', 'const:2'])},"
+                f"{rng.randint(3, 5)}")
+        horizon = rng.randint(1, 5)
+        specs = []
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            # a common factor, which may be the window's modulus
+            g, sign = rng.choice([modulus, rng.randint(1, 4)]), rng.choice([-1, 1, 1])
+            specs.append(IPSystemSpec.from_terms(
+                [g * (sign * rng.randint(1, 2) if rng.random() < 0.8
+                      else rng.randint(-2, 2))
+                 for _ in range(horizon)]))
+        depth = rng.randint(1, 4 if horizon <= 3 else 2)
+        assert_budgets_match_the_full_scan(window, specs, depth)
+    assert sum(raised) >= 50
+
+
+def test_least_a_never_exceeds_the_least_passing_a():
+    """_least_a over the (lo, m) of each system is at most the least a >= 1
+    for which some nonempty index set puts every a + s_i in its set b_i,
+    found over all subset sums.  The sets are random, residue classes, and
+    classes with one stray member."""
+    rng = random.Random(5)
+    tight = 0
+    for _ in range(2000):
+        width = rng.randint(1, 5)
+        sets, terms = [], []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(1, 40)
+            modulus = rng.randint(1, 6)
+            members = set(range(rng.randint(1, n), n + 1, modulus))
+            if rng.random() < 0.3:
+                members.add(rng.randint(0, n))
+            if rng.random() < 0.3:
+                members = set(rng.sample(range(n + 1), rng.randint(1, n + 1)))
+            sets.append(members)
+            terms.append([rng.choice([0, modulus, 2 * modulus, rng.randint(-6, 6)])
+                          for _ in range(width)])
+        least = cst._least_a([cst._term_floor(sum(1 << x for x in b), t)
+                              for b, t in zip(sets, terms)])
+        sums = [[sum(t[i] for i in range(width) if mask >> i & 1) for t in terms]
+                for mask in range(1, 1 << width)]
+        top = max(max(b) for b in sets) + 6 * width
+        passing = [a for a in range(1, top + 1)
+                   if any(all(a + s in b for s, b in zip(row, sets))
+                          for row in sums)]
+        if passing:
+            assert least <= passing[0], (sets, terms)
+            tight += least == passing[0]
+    assert tight >= 500
+
+
+def test_least_a_builds_no_table_past_the_witness():
+    """The witness of cst_search(all:100, [rule at horizon 20], 1) uses the
+    first index set, at the least a the bound allows: 1 for geom:1,2 and 2
+    for geom:-1,10, whose terms are all negative.  Every subset sum of
+    these rules differs, so the full table holds 2^20 - 1 rows (about
+    250 MB); the search builds the first index's row only."""
+    for rule, a in (("geom:1,2", 1), ("geom:-1,10", 2)):
+        specs = [IPSystemSpec.parse(rule, horizon=20)]
+        tracemalloc.start()
+        try:
+            wit = cst_search(SetWindow.full(100), specs, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wit.a_values == (a,) and wit.alphas == (FiniteIndexSet((1,)),)
+        assert peak < 1 << 20
+
+
 def test_wide_refutation_builds_no_candidate_table():
     """odd + odd is even, so no member of the odds up to 5 is a difference
     of two: level 0 of a depth-2 search is refuted before its 2^20 - 1
